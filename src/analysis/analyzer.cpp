@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 
-#include "device/tiles.hpp"
-
 namespace prpart::analysis {
 
 namespace {
@@ -93,14 +91,14 @@ std::optional<InfeasibilityProof> prove_infeasible(const Design& design,
                                                    const ResourceVec& budget,
                                                    const DeviceLibrary& library,
                                                    const std::string& target) {
-  // The single-region bound of §IV-C: exactly the feasibility check the
-  // allocation search applies (evaluate_scheme on single_region_scheme).
-  const ResourceVec raw = design.largest_configuration_area();
-  const ResourceVec bound = tiles_for(raw).resources() + design.static_base();
-  if (bound.fits_in(budget)) return std::nullopt;
+  // The single-region bound of §IV-C: the same bill the partitioner's
+  // feasibility check and its device ladder read.
+  const SingleRegionBill bill = single_region_bill(design);
+  if (bill.fits_in(budget)) return std::nullopt;
+  const ResourceVec& bound = bill.total;
 
   InfeasibilityProof proof;
-  proof.raw_lower_bound = raw;
+  proof.raw_lower_bound = bill.raw;
   proof.lower_bound = bound;
   proof.target = target;
   proof.capacity = budget;

@@ -1,31 +1,26 @@
 #include "core/partitioner.hpp"
 
 #include "core/clustering.hpp"
-#include "core/compatibility.hpp"
-#include "core/connectivity.hpp"
-#include "core/eval_kernel.hpp"
 #include "core/schemes.hpp"
 #include "util/status.hpp"
 
 namespace prpart {
 
-PartitionerResult partition_design(const Design& design,
-                                   const ResourceVec& budget,
-                                   const PartitionerOptions& options) {
-  PartitionerResult result;
-
-  const ConnectivityMatrix matrix(design);
-  result.base_partitions = enumerate_base_partitions(
-      design, matrix, options.max_partition_modes);
-  const CompatibilityTable compat(matrix, result.base_partitions);
-
-  // One evaluation-kernel context per (design, partition set): the baseline
-  // evaluations below, the search's final certification, and any caller
-  // re-evaluation share its precomputed activity matrix (DESIGN.md §4d).
+DesignPlan::DesignPlan(const Design& design, const PartitionerOptions& options)
+    : design_(design),
+      matrix_(design),
+      partitions_(enumerate_base_partitions(design, matrix_,
+                                            options.max_partition_modes)),
+      compat_(matrix_, partitions_),
+      // One evaluation-kernel context per (design, partition set): the
+      // baseline evaluations below, the search's final certification, and
+      // any caller re-evaluation share its precomputed activity matrix
+      // (DESIGN.md §4d).
+      context_(design, matrix_, partitions_),
+      bill_(prpart::single_region_bill(design)) {
   // A caller-provided scratch (options.search.scratch — the server's job
   // workers keep one warm per pool thread) is reused so steady-state jobs
   // evaluate with zero heap allocations (§4e).
-  const EvalContext context(design, matrix, result.base_partitions);
   EvalScratch local_scratch;
   EvalScratch& scratch = options.search.scratch != nullptr
                              ? *options.search.scratch
@@ -35,38 +30,48 @@ PartitionerResult partition_design(const Design& design,
       scratch.stats.signature_collapsed_configs;
 
   // Baselines, scored in one kernel batch (§4e) — same evaluations in the
-  // same order as two evaluate() calls.
-  result.modular.name = "Modular";
-  result.modular.scheme =
-      make_modular_scheme(design, matrix, result.base_partitions);
-  result.static_impl.name = "Static";
-  result.static_impl.scheme =
-      make_static_scheme(design, matrix, result.base_partitions);
+  // same order as two evaluate() calls. The empty budget only decides
+  // `fits`, which solve() recomputes per budget.
+  modular_.name = "Modular";
+  modular_.scheme = make_modular_scheme(design, matrix_, partitions_);
+  static_impl_.name = "Static";
+  static_impl_.scheme = make_static_scheme(design, matrix_, partitions_);
   {
-    const PartitionScheme* baselines[2] = {&result.modular.scheme,
-                                           &result.static_impl.scheme};
+    const PartitionScheme* baselines[2] = {&modular_.scheme,
+                                           &static_impl_.scheme};
     SchemeEvaluation evals[2];
-    context.evaluate_batch_into(baselines, 2, budget, scratch, evals);
-    result.modular.eval = std::move(evals[0]);
-    result.static_impl.eval = std::move(evals[1]);
+    context_.evaluate_batch_into(baselines, 2, ResourceVec{}, scratch, evals);
+    modular_.eval = std::move(evals[0]);
+    static_impl_.eval = std::move(evals[1]);
   }
-  require(result.modular.eval.valid,
-          "modular baseline invalid: " + result.modular.eval.invalid_reason);
-  require(result.static_impl.eval.valid,
-          "static baseline invalid: " + result.static_impl.eval.invalid_reason);
+  require(modular_.eval.valid,
+          "modular baseline invalid: " + modular_.eval.invalid_reason);
+  require(static_impl_.eval.valid,
+          "static baseline invalid: " + static_impl_.eval.invalid_reason);
   // Kernel work of the baselines alone; the search folds its own
   // certification delta into its stats, so adding the whole scratch delta
-  // at the end would double-count when the scratch is shared.
-  const std::uint64_t baseline_evals =
-      scratch.stats.kernel_evaluations - scratch_evals_before;
-  const std::uint64_t baseline_collapsed =
+  // would double-count when the scratch is shared.
+  baseline_evals_ = scratch.stats.kernel_evaluations - scratch_evals_before;
+  baseline_collapsed_ =
       scratch.stats.signature_collapsed_configs - scratch_collapsed_before;
 
-  result.single_region.name = "Single region";
-  auto [single_scheme, single_eval] = single_region_scheme(
-      design, matrix, result.base_partitions, budget);
-  result.single_region.scheme = std::move(single_scheme);
-  result.single_region.eval = std::move(single_eval);
+  single_region_.name = "Single region";
+  auto [single_scheme, single_eval] =
+      single_region_scheme(design, matrix_, partitions_, ResourceVec{});
+  single_region_.scheme = std::move(single_scheme);
+  single_region_.eval = std::move(single_eval);
+}
+
+PartitionerResult solve(const DesignPlan& plan, const ResourceVec& budget,
+                        const PartitionerOptions& options) {
+  PartitionerResult result;
+  result.base_partitions = plan.partitions_;
+  result.modular = plan.modular_;
+  result.static_impl = plan.static_impl_;
+  result.single_region = plan.single_region_;
+  for (SchemeSummary* s :
+       {&result.modular, &result.static_impl, &result.single_region})
+    s->eval.fits = s->eval.total_resources.fits_in(budget);
 
   // Feasibility (§IV-C): the single-region scheme is the area lower bound;
   // if it does not fit, no partitioning does.
@@ -74,9 +79,10 @@ PartitionerResult partition_design(const Design& design,
 
   if (result.feasible) {
     SearchOptions search_options = options.search;
-    search_options.eval_context = &context;
-    SearchResult search = search_partitioning(
-        design, matrix, result.base_partitions, compat, budget, search_options);
+    search_options.eval_context = &plan.context_;
+    SearchResult search =
+        search_partitioning(plan.design_, plan.matrix_, plan.partitions_,
+                            plan.compat_, budget, search_options);
     result.stats = search.stats;
     // Compare against the single-region fallback under the same objective
     // the search optimised (weighted when pair weights were supplied).
@@ -100,12 +106,20 @@ PartitionerResult partition_design(const Design& design,
     }
   }
 
-  // Baseline evaluations above went through the shared kernel context; fold
-  // them into the stats next to the search's own certification counts.
-  result.stats.kernel_evaluations += baseline_evals;
-  result.stats.signature_collapsed_configs += baseline_collapsed;
+  // The plan's baseline evaluations went through the shared kernel
+  // context; fold them into the stats next to the search's own
+  // certification counts.
+  result.stats.kernel_evaluations += plan.baseline_evals_;
+  result.stats.signature_collapsed_configs += plan.baseline_collapsed_;
 
   return result;
+}
+
+PartitionerResult partition_design(const Design& design,
+                                   const ResourceVec& budget,
+                                   const PartitionerOptions& options) {
+  const DesignPlan plan(design, options);
+  return solve(plan, budget, options);
 }
 
 DevicePartitionResult partition_on_smallest_device(
@@ -114,38 +128,26 @@ DevicePartitionResult partition_on_smallest_device(
   const auto& devices = library.devices();
   require(!devices.empty(), "device library is empty");
 
+  const DesignPlan plan(design, options);
   DevicePartitionResult out;
-  bool found_first = false;
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    PartitionerResult r =
-        partition_design(design, devices[i].capacity(), options);
-    if (!r.feasible) continue;
-    if (!found_first) {
-      out.first_feasible_index = i;
-      found_first = true;
-    }
-    const bool only_single_region = !r.proposed_from_search;
-    if (only_single_region && i + 1 < devices.size()) {
-      // Keep the single-region answer in hand but try a larger device
-      // (§V: designs re-iterated on larger FPGAs).
-      out.device = &devices[i];
-      out.chosen_index = i;
-      out.result = std::move(r);
-      continue;
-    }
+    // The bill is exactly solve()'s feasibility check, so an infeasible
+    // rung costs no search and no result.
+    if (!plan.single_region_bill().fits_in(devices[i].capacity())) continue;
+    if (out.device == nullptr) out.first_feasible_index = i;
     out.device = &devices[i];
     out.chosen_index = i;
-    out.result = std::move(r);
-    out.escalated = out.chosen_index != out.first_feasible_index;
-    return out;
+    out.result = solve(plan, devices[i].capacity(), options);
+    // A single-region-only answer stays in hand while a larger device is
+    // tried (§V: designs re-iterated on larger FPGAs); the largest device
+    // reports it as is.
+    if (out.result.proposed_from_search) break;
   }
-  if (found_first) {
-    // Largest device still only supported single-region: report that.
-    out.escalated = out.chosen_index != out.first_feasible_index;
-    return out;
-  }
-  throw DeviceError("design '" + design.name() +
-                    "' does not fit any device in the library");
+  if (out.device == nullptr)
+    throw DeviceError("design '" + design.name() +
+                      "' does not fit any device in the library");
+  out.escalated = out.chosen_index != out.first_feasible_index;
+  return out;
 }
 
 }  // namespace prpart

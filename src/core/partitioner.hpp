@@ -4,6 +4,9 @@
 #include <vector>
 
 #include "core/base_partition.hpp"
+#include "core/compatibility.hpp"
+#include "core/connectivity.hpp"
+#include "core/eval_kernel.hpp"
 #include "core/scheme.hpp"
 #include "core/search.hpp"
 #include "design/design.hpp"
@@ -62,9 +65,70 @@ struct PartitionerResult {
   SearchStats stats;
 };
 
+/// The budget-independent half of the §IV flow for one design: the
+/// connectivity matrix, the base partitions (clustering + covering), the
+/// compatibility table, the evaluation-kernel context, and the three
+/// baseline schemes with their evaluations. Built once, it serves any
+/// number of solve() calls against different budgets: the device ladder
+/// and the flow's budget-shrink loop each build one plan per design.
+///
+/// Lifetime: the plan refers to `design`, which must outlive it, and its
+/// kernel context refers into the plan's own matrix and partitions, so a
+/// plan is neither copyable nor movable. solve() results own their data
+/// and may outlive the plan.
+class DesignPlan {
+ public:
+  /// Reads options.max_partition_modes and, for the baseline batch,
+  /// options.search.scratch (a local scratch when null). Throws
+  /// InternalError when a baseline evaluates invalid.
+  explicit DesignPlan(const Design& design,
+                      const PartitionerOptions& options = {});
+
+  DesignPlan(const DesignPlan&) = delete;
+  DesignPlan& operator=(const DesignPlan&) = delete;
+
+  const ConnectivityMatrix& matrix() const { return matrix_; }
+  const std::vector<BasePartition>& base_partitions() const {
+    return partitions_;
+  }
+  /// Kernel context over matrix() and base_partitions() (DESIGN.md §4d).
+  const EvalContext& context() const { return context_; }
+  /// The single-region area bill: solve() is feasible for a budget exactly
+  /// when this bill fits it.
+  const SingleRegionBill& single_region_bill() const { return bill_; }
+
+ private:
+  friend PartitionerResult solve(const DesignPlan&, const ResourceVec&,
+                                 const PartitionerOptions&);
+
+  const Design& design_;
+  ConnectivityMatrix matrix_;
+  std::vector<BasePartition> partitions_;
+  CompatibilityTable compat_;
+  EvalContext context_;
+  SingleRegionBill bill_;
+  /// Baselines evaluated once; only `fits` depends on the budget, and
+  /// solve() sets it.
+  SchemeSummary modular_;
+  SchemeSummary static_impl_;
+  SchemeSummary single_region_;
+  /// Kernel counters of the baseline batch, folded into every solve()'s
+  /// stats as if the batch ran per budget.
+  std::uint64_t baseline_evals_ = 0;
+  std::uint64_t baseline_collapsed_ = 0;
+};
+
+/// The per-budget half of the §IV flow: the feasibility check, the
+/// region-allocation search and the single-region fallback. Byte-identical
+/// to partition_design(design, budget, options) for the plan's design when
+/// `options` matches the one the plan was built with;
+/// options.max_partition_modes is the plan's and is not read here.
+PartitionerResult solve(const DesignPlan& plan, const ResourceVec& budget,
+                        const PartitionerOptions& options = {});
+
 /// Runs the whole §IV flow for `design` against a resource budget:
 /// connectivity matrix, clustering, covering, compatibility, search, plus
-/// the baseline schemes.
+/// the baseline schemes. Builds a DesignPlan and solves it once.
 PartitionerResult partition_design(const Design& design,
                                    const ResourceVec& budget,
                                    const PartitionerOptions& options = {});
@@ -87,7 +151,9 @@ struct DevicePartitionResult {
 /// Walks the library from the smallest device up: picks the first device
 /// where the design is implementable at all, partitions there, and - when
 /// no scheme other than single-region is feasible - retries on the next
-/// larger device. Throws DeviceError when the design fits no device.
+/// larger device. Throws DeviceError when the design fits no device. One
+/// DesignPlan serves the whole walk; devices the single-region bill does
+/// not fit are skipped without solving.
 DevicePartitionResult partition_on_smallest_device(
     const Design& design, const DeviceLibrary& library,
     const PartitionerOptions& options = {});

@@ -65,11 +65,12 @@ std::pair<PartitionScheme, SchemeEvaluation> single_region_scheme(
   }
   scheme.regions.push_back(std::move(region));
 
+  const SingleRegionBill bill = single_region_bill(design);
   SchemeEvaluation eval;
   eval.valid = true;
   RegionReport report;
-  report.raw = design.largest_configuration_area();
-  report.tiles = tiles_for(report.raw);
+  report.raw = bill.raw;
+  report.tiles = bill.tiles;
   report.frames = report.tiles.frames();
   report.active.resize(matrix.configs());
   for (std::size_t c = 0; c < matrix.configs(); ++c)
@@ -81,8 +82,8 @@ std::pair<PartitionScheme, SchemeEvaluation> single_region_scheme(
   eval.worst_frames = nconf >= 2 ? report.frames : 0;
   eval.pr_resources = report.tiles.resources();
   eval.static_resources = design.static_base();
-  eval.total_resources = eval.pr_resources + eval.static_resources;
-  eval.fits = eval.total_resources.fits_in(budget);
+  eval.total_resources = bill.total;
+  eval.fits = bill.fits_in(budget);
   eval.regions.push_back(std::move(report));
   return {std::move(scheme), std::move(eval)};
 }

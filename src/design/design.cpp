@@ -145,4 +145,12 @@ bool Design::mode_used(std::size_t global_id) const {
   return false;
 }
 
+SingleRegionBill single_region_bill(const Design& design) {
+  SingleRegionBill bill;
+  bill.raw = design.largest_configuration_area();
+  bill.tiles = tiles_for(bill.raw);
+  bill.total = bill.tiles.resources() + design.static_base();
+  return bill;
+}
+
 }  // namespace prpart

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "device/resources.hpp"
+#include "device/tiles.hpp"
 #include "util/bitset.hpp"
 
 namespace prpart {
@@ -105,5 +106,23 @@ class Design {
   std::vector<const std::string*> mode_label_;
   std::vector<DynBitset> config_modes_;
 };
+
+/// Area bill of the single-region scheme (§IV-C): one region sized for the
+/// largest configuration, rounded up to whole tiles, plus the static base.
+/// It is the design's area lower bound: a budget this bill does not fit
+/// admits no partitioning at all. The partitioner's feasibility check, its
+/// single-region baseline and the analyzer's infeasibility proof all read
+/// this one definition.
+struct SingleRegionBill {
+  ResourceVec raw;    ///< largest_configuration_area()
+  TileCount tiles;    ///< `raw` rounded up to whole tiles (Eqs. 3-5)
+  ResourceVec total;  ///< tiles.resources() + static_base()
+
+  bool fits_in(const ResourceVec& capacity) const {
+    return total.fits_in(capacity);
+  }
+};
+
+SingleRegionBill single_region_bill(const Design& design);
 
 }  // namespace prpart

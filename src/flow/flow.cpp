@@ -1,7 +1,5 @@
 #include "flow/flow.hpp"
 
-#include "core/connectivity.hpp"
-#include "core/eval_kernel.hpp"
 #include "floorplan/annealing.hpp"
 #include "util/status.hpp"
 
@@ -22,10 +20,10 @@ void finish(FlowResult& result, const Design& design,
   result.floorplan = std::move(plan);
 }
 
-}  // namespace
-
-FlowResult run_flow(const Design& design, const Device& device,
-                    const FlowOptions& options) {
+/// run_flow over a prebuilt plan: only the budget changes between feedback
+/// iterations and devices, so one plan serves them all.
+FlowResult run_flow_on(const DesignPlan& partition_plan, const Design& design,
+                       const Device& device, const FlowOptions& options) {
   FlowResult result;
   result.device = &device;
 
@@ -36,7 +34,7 @@ FlowResult run_flow(const Design& design, const Device& device,
        result.iterations <= options.max_feedback_iterations;
        ++result.iterations) {
     PartitionerResult partitioning =
-        partition_design(design, budget, options.partitioner);
+        solve(partition_plan, budget, options.partitioner);
     if (!partitioning.feasible) {
       result.failure_reason = "design does not fit " + device.name() +
                               " (budget " + budget.to_string() + ")";
@@ -55,12 +53,10 @@ FlowResult run_flow(const Design& design, const Device& device,
     // schemes; a slightly costlier grouping often floorplans where the
     // best one fragments.
     if (!partitioning.alternatives.empty()) {
-      const ConnectivityMatrix matrix(design);
-      const EvalContext context(design, matrix, partitioning.base_partitions);
       EvalScratch scratch;
       for (std::size_t alt = 1; alt < partitioning.alternatives.size();
            ++alt) {
-        SchemeEvaluation eval = context.evaluate(
+        SchemeEvaluation eval = partition_plan.context().evaluate(
             partitioning.alternatives[alt].scheme, budget, scratch);
         if (!eval.valid || !eval.fits) continue;
         FloorplanResult alt_plan = floorplanner.place_scheme(eval);
@@ -108,13 +104,22 @@ FlowResult run_flow(const Design& design, const Device& device,
   return result;
 }
 
+}  // namespace
+
+FlowResult run_flow(const Design& design, const Device& device,
+                    const FlowOptions& options) {
+  const DesignPlan partition_plan(design, options.partitioner);
+  return run_flow_on(partition_plan, design, device, options);
+}
+
 FlowResult run_flow_auto_device(const Design& design,
                                 const DeviceLibrary& library,
                                 const FlowOptions& options) {
   require(!library.devices().empty(), "device library is empty");
+  const DesignPlan partition_plan(design, options.partitioner);
   FlowResult last;
   for (const Device& device : library.devices()) {
-    last = run_flow(design, device, options);
+    last = run_flow_on(partition_plan, design, device, options);
     if (last.success) return last;
   }
   throw DeviceError("design '" + design.name() +

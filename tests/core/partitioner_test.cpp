@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "core/schemes.hpp"
 #include "design/synthetic.hpp"
 #include "device/tiles.hpp"
 #include "tests/core/example_designs.hpp"
@@ -11,6 +15,146 @@ namespace prpart {
 namespace {
 
 using testing::paper_example;
+
+void dump_scheme(std::ostream& os, const PartitionScheme& s) {
+  os << "scheme '" << s.label << "' regions";
+  for (const Region& r : s.regions) {
+    os << " [";
+    for (std::size_t m : r.members) os << ' ' << m;
+    os << " ]";
+  }
+  os << " static";
+  for (std::size_t m : s.static_members) os << ' ' << m;
+  os << '\n';
+}
+
+void dump_eval(std::ostream& os, const SchemeEvaluation& e) {
+  os << "eval valid=" << e.valid << " '" << e.invalid_reason
+     << "' fits=" << e.fits << " pr=" << e.pr_resources.to_string()
+     << " static=" << e.static_resources.to_string()
+     << " total=" << e.total_resources.to_string()
+     << " frames=" << e.total_frames << '/' << e.worst_frames << '\n';
+  for (const RegionReport& r : e.regions) {
+    os << "  region raw=" << r.raw.to_string() << " tiles="
+       << r.tiles.clb_tiles << ',' << r.tiles.bram_tiles << ','
+       << r.tiles.dsp_tiles << " frames=" << r.frames
+       << " pairs=" << r.reconfig_pairs << " active";
+    for (int a : r.active) os << ' ' << a;
+    os << '\n';
+  }
+}
+
+std::string dump(const SchemeEvaluation& e) {
+  std::ostringstream os;
+  dump_eval(os, e);
+  return os.str();
+}
+
+// Every field of a PartitionerResult that the tool reports, as text:
+// equal dumps are byte-identical results. SearchStats contributes its
+// deterministic core only.
+std::string dump(const PartitionerResult& r) {
+  std::ostringstream os;
+  os << "feasible=" << r.feasible
+     << " from_search=" << r.proposed_from_search << '\n';
+  for (const SchemeSummary* s :
+       {&r.proposed, &r.modular, &r.single_region, &r.static_impl}) {
+    os << s->name << ": ";
+    dump_scheme(os, s->scheme);
+    dump_eval(os, s->eval);
+  }
+  os << "base partitions";
+  for (const BasePartition& p : r.base_partitions)
+    os << " {" << p.modes.to_string() << ' ' << p.frequency_weight << ' '
+       << p.edges << ' ' << p.area.to_string() << ' ' << p.frames << '}';
+  os << '\n';
+  for (const RankedScheme& a : r.alternatives) {
+    os << "alternative " << a.total_frames << ' ' << a.workload_cost << ' ';
+    dump_scheme(os, a.scheme);
+  }
+  const SearchStats& st = r.stats;
+  os << "stats moves=" << st.move_evaluations << " sets=" << st.candidate_sets
+     << " greedy=" << st.greedy_runs << " states=" << st.states_recorded
+     << " exhausted=" << st.budget_exhausted << " units=" << st.units
+     << " pruned=" << st.units_pruned << " gap=" << st.bound_gap_sum
+     << " lb=" << st.bound_lb_sum << " best=" << st.bound_best_sum
+     << " kernel=" << st.kernel_evaluations
+     << " collapsed=" << st.signature_collapsed_configs << '\n';
+  return os.str();
+}
+
+std::string dump(const DevicePartitionResult& r) {
+  return "device " + std::to_string(r.chosen_index) + " first " +
+         std::to_string(r.first_feasible_index) + " escalated " +
+         std::to_string(r.escalated) + " name " + r.device->name() + '\n' +
+         dump(r.result);
+}
+
+// The device ladder as it stood before the design plan: one full
+// partition_design per rung, infeasible rungs included. The ladder under
+// test must return exactly what this returns.
+DevicePartitionResult per_rung_reference(const Design& design,
+                                         const DeviceLibrary& library,
+                                         const PartitionerOptions& options) {
+  const auto& devices = library.devices();
+  DevicePartitionResult out;
+  bool found_first = false;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    PartitionerResult r =
+        partition_design(design, devices[i].capacity(), options);
+    if (!r.feasible) continue;
+    if (!found_first) {
+      out.first_feasible_index = i;
+      found_first = true;
+    }
+    out.device = &devices[i];
+    out.chosen_index = i;
+    out.result = std::move(r);
+    if (!out.result.proposed_from_search && i + 1 < devices.size()) continue;
+    out.escalated = out.chosen_index != out.first_feasible_index;
+    return out;
+  }
+  if (!found_first)
+    throw DeviceError("design '" + design.name() +
+                      "' does not fit any device in the library");
+  out.escalated = out.chosen_index != out.first_feasible_index;
+  return out;
+}
+
+DevicePartitionResult expect_ladder_matches_reference(
+    const Design& design, const DeviceLibrary& library,
+    const PartitionerOptions& options) {
+  DevicePartitionResult ladder =
+      partition_on_smallest_device(design, library, options);
+  EXPECT_EQ(dump(ladder), dump(per_rung_reference(design, library, options)))
+      << design.name();
+  return ladder;
+}
+
+/// The sweep effort of the Fig. 7/8 benches (24 candidate sets, 400k
+/// evaluations), on one search thread.
+PartitionerOptions sweep_options() {
+  PartitionerOptions o;
+  o.search.max_candidate_sets = 24;
+  o.search.max_move_evaluations = 400'000;
+  o.search.threads = 1;
+  return o;
+}
+
+// Exactly at its single-region bill the search finds no fitting scheme
+// with fewer frames than the single region (the nested configurations
+// rule out a searched single-region equivalent), so the partitioner keeps
+// the single-region fallback.
+Design fallback_at_bill() {
+  return DesignBuilder("fallback_at_bill")
+      .module("A", {{"A1", {100, 0, 1}}})
+      .module("B", {{"B1", {290, 2, 2}}})
+      .module("C", {{"C1", {100, 2, 2}}})
+      .configuration({{"B", "B1"}})
+      .configuration({{"B", "B1"}, {"C", "C1"}})
+      .configuration({{"A", "A1"}})
+      .build();
+}
 
 TEST(Partitioner, ProducesAllFourSchemes) {
   const Design d = paper_example();
@@ -105,6 +249,137 @@ TEST(DeviceSearch, EscalationOnlyWhenSearchFailsOnSmallerDevice) {
       }
     }
   }
+}
+
+TEST(DeviceSearch, LadderMatchesPerRungReferenceOnTheSweepSuite) {
+  const DeviceLibrary lib = DeviceLibrary::virtex5();
+  const auto suite = generate_synthetic_suite(2013, 150);
+  const PartitionerOptions options = sweep_options();
+  std::size_t escalated = 0;
+  for (const SyntheticDesign& s : suite)
+    if (expect_ladder_matches_reference(s.design, lib, options).escalated)
+      ++escalated;
+  // The slice exercises escalation past single-region-only rungs.
+  EXPECT_GT(escalated, 0u);
+}
+
+TEST(DeviceSearch, SingleRegionFitsOnlyTheLastRungAndTheFallbackIsKept) {
+  const Design d = fallback_at_bill();
+  const ResourceVec bill = single_region_bill(d).total;
+  DeviceLibrary lib;
+  lib.add(Device("half", {bill.clbs / 2, bill.brams, bill.dsps}, 1));
+  lib.add(Device("exact", bill, 1));
+  const DevicePartitionResult r = partition_on_smallest_device(d, lib);
+  EXPECT_EQ(r.chosen_index, 1u);
+  EXPECT_EQ(r.first_feasible_index, 1u);
+  EXPECT_FALSE(r.escalated);
+  EXPECT_TRUE(r.result.feasible);
+  EXPECT_FALSE(r.result.proposed_from_search);
+  EXPECT_EQ(r.result.proposed.name, "Proposed (single-region fallback)");
+  expect_ladder_matches_reference(d, lib, {});
+}
+
+TEST(DeviceSearch, DesignFittingNoRungThrows) {
+  const Design d = fallback_at_bill();
+  const ResourceVec bill = single_region_bill(d).total;
+  DeviceLibrary lib;
+  lib.add(Device("few_clbs", {bill.clbs - 20, bill.brams, bill.dsps}, 1));
+  lib.add(Device("few_brams", {bill.clbs * 4, bill.brams - 4, bill.dsps}, 1));
+  EXPECT_THROW(partition_on_smallest_device(d, lib), DeviceError);
+  EXPECT_THROW(per_rung_reference(d, lib, {}), DeviceError);
+}
+
+TEST(DeviceSearch, EscalationSkipsAnInfeasibleRungBetweenFeasibleOnes) {
+  // Feasible rungs 0 and 2 with an infeasible one between them (libraries
+  // are ordered by logic, not by every resource): rung 0 only supports the
+  // single region, so the walk escalates across rung 1 to rung 2.
+  const Design d = fallback_at_bill();
+  const ResourceVec bill = single_region_bill(d).total;
+  DeviceLibrary lib;
+  lib.add(Device("exact", bill, 1));
+  lib.add(Device("no_dsps", {bill.clbs * 2, bill.brams * 2, 0}, 1));
+  lib.add(Device("roomy", {bill.clbs * 2, bill.brams * 2, bill.dsps * 2}, 1));
+  const DevicePartitionResult r = partition_on_smallest_device(d, lib);
+  EXPECT_EQ(r.first_feasible_index, 0u);
+  EXPECT_EQ(r.chosen_index, 2u);
+  EXPECT_TRUE(r.escalated);
+  EXPECT_TRUE(r.result.proposed_from_search);
+  expect_ladder_matches_reference(d, lib, {});
+}
+
+// One plan serves every budget: solve() equals a fresh partition_design for
+// an infeasible, a tight and a generous budget, with a call-local scratch
+// and with one warm scratch shared across all calls (the server's path,
+// where the kernel counters are folded in as scratch deltas).
+TEST(DesignPlanTest, SolveMatchesAFreshPartitionForEveryBudget) {
+  const auto suite = generate_synthetic_suite(2013, 6);
+  const ResourceVec generous =
+      DeviceLibrary::virtex5().devices().back().capacity();
+  for (const SyntheticDesign& s : suite) {
+    const ResourceVec bill = single_region_bill(s.design).total;
+    const ResourceVec infeasible{bill.clbs - 1, bill.brams, bill.dsps};
+    for (const bool shared : {false, true}) {
+      EvalScratch warm;
+      PartitionerOptions options = sweep_options();
+      if (shared) options.search.scratch = &warm;
+      const DesignPlan plan(s.design, options);
+      for (const ResourceVec& budget : {infeasible, bill, generous}) {
+        const std::string what = s.design.name() + " budget " +
+                                 budget.to_string() +
+                                 (shared ? " (shared scratch)" : "");
+        const PartitionerResult solved = solve(plan, budget, options);
+        const PartitionerResult fresh =
+            partition_design(s.design, budget, options);
+        EXPECT_EQ(dump(solved), dump(fresh)) << what;
+        // The plan scores its baselines once; each must still equal an
+        // evaluation against this very budget.
+        EvalScratch scratch;
+        EXPECT_EQ(dump(solved.modular.eval),
+                  dump(plan.context().evaluate(solved.modular.scheme, budget,
+                                               scratch)))
+            << what;
+        EXPECT_EQ(dump(solved.static_impl.eval),
+                  dump(plan.context().evaluate(solved.static_impl.scheme,
+                                               budget, scratch)))
+            << what;
+        EXPECT_EQ(dump(solved.single_region.eval),
+                  dump(single_region_scheme(s.design, plan.matrix(),
+                                            plan.base_partitions(), budget)
+                           .second))
+            << what;
+      }
+    }
+  }
+}
+
+TEST(DesignPlanTest, InfeasibleBudgetKeepsTheBaselines) {
+  // `partition --device <too-small>` reports the baselines and the
+  // single-region evaluation of an infeasible target; a solve against a
+  // reused plan must report the same ones.
+  const Design d = paper_example();
+  const DesignPlan plan(d);
+  (void)solve(plan, {100000, 1000, 1000});
+  const PartitionerResult r = solve(plan, {100, 1, 1});
+  EXPECT_FALSE(r.feasible);
+  EXPECT_FALSE(r.single_region.eval.fits);
+  EXPECT_FALSE(r.modular.eval.fits);
+  EXPECT_TRUE(r.modular.eval.valid);
+  EXPECT_TRUE(r.static_impl.eval.valid);
+  EXPECT_EQ(r.stats.kernel_evaluations, 2u);
+  EXPECT_EQ(dump(r), dump(partition_design(d, {100, 1, 1})));
+}
+
+TEST(DesignPlanTest, SingleRegionBillDecidesFeasibility) {
+  const Design d = paper_example();
+  const DesignPlan plan(d);
+  const SingleRegionBill& bill = plan.single_region_bill();
+  EXPECT_EQ(bill.total, single_region_bill(d).total);
+  ResourceVec tight = bill.total;
+  EXPECT_TRUE(solve(plan, tight).feasible);
+  tight.clbs -= 1;
+  EXPECT_FALSE(solve(plan, tight).feasible);
+  EXPECT_EQ(solve(plan, bill.total).single_region.eval.total_resources,
+            bill.total);
 }
 
 }  // namespace
