@@ -29,6 +29,7 @@
 #include "flow/flow.hpp"
 #include "reconfig/markov.hpp"
 #include "server/client.hpp"
+#include "server/job.hpp"
 #include "server/protocol.hpp"
 #include "server/router.hpp"
 #include "server/server.hpp"
@@ -131,57 +132,70 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
+/// Options that take no value, across every command.
+const std::vector<std::string> kSwitches = {
+    "floorplan", "prefetch",  "json",      "search-stats", "uniform",
+    "rank",      "first-fit", "no-anneal", "legacy-io"};
+
+/// --budget C,B,D, each component range-checked like a request line's.
 ResourceVec parse_budget(const std::string& spec) {
   const std::vector<std::string> parts = split(spec, ',');
   if (parts.size() != 3)
     throw ParseError("--budget expects CLBS,BRAMS,DSPS, got '" + spec + "'");
-  return {static_cast<std::uint32_t>(parse_u64(parts[0])),
-          static_cast<std::uint32_t>(parse_u64(parts[1])),
-          static_cast<std::uint32_t>(parse_u64(parts[2]))};
+  return {server::budget_component(parse_u64(parts[0])),
+          server::budget_component(parse_u64(parts[1])),
+          server::budget_component(parse_u64(parts[2]))};
 }
 
-/// Resolves the target: explicit budget, named device, or smallest-device
-/// search. Returns the partitioning result plus the device used (nullptr
-/// for an explicit budget).
-struct Target {
-  PartitionerResult result;
-  const Device* device = nullptr;
-  ResourceVec budget;
-};
-
-Target resolve_and_partition(const Design& design, const Args& args,
-                             const DeviceLibrary& library,
-                             const PartitionerOptions& options) {
-  Target t;
-  if (const auto budget = args.value("budget")) {
-    t.budget = parse_budget(*budget);
-    t.result = partition_design(design, t.budget, options);
-    return t;
-  }
-  if (const auto device = args.value("device")) {
-    const Device& d = library.by_name(*device);
-    t.device = &d;
-    t.budget = d.capacity();
-    t.result = partition_design(design, t.budget, options);
-    return t;
-  }
-  DevicePartitionResult dp =
-      partition_on_smallest_device(design, library, options);
-  t.device = dp.device;
-  t.budget = dp.device->capacity();
-  t.result = std::move(dp.result);
-  return t;
+/// --device/--budget, the target of every command that takes one. Neither
+/// means the smallest-device walk.
+void target_from_args(const Args& args, std::string& device,
+                      std::optional<ResourceVec>& budget) {
+  device = args.value_or("device", "");
+  if (const auto b = args.value("budget")) budget = parse_budget(*b);
+  if (!device.empty() && budget)
+    throw ParseError("--device and --budget are mutually exclusive");
 }
 
-PartitionerOptions options_from(const Args& args) {
-  PartitionerOptions opt;
-  opt.search.max_candidate_sets = args.u64_or("candidate-sets", 48);
-  opt.search.max_move_evaluations = args.u64_or("evals", 2'000'000);
+/// The job a partition/floorplan/simulate/bitstreams/flow/submit command
+/// line describes, in the schema the server parses from a request line.
+/// Effort defaults come from default_partitioner_options().
+server::JobSpec request_from_args(const std::string& command, const Args& args,
+                                  std::string design_xml) {
+  server::JobSpec spec;
+  if (command == "floorplan") {
+    server::FloorplanParams& p = spec.floorplan.emplace();
+    p.top_k = args.u64_or("top-k", p.top_k);
+    if (p.top_k == 0) throw ParseError("--top-k must be positive");
+    p.first_fit = args.has("first-fit");
+    p.anneal = !args.has("no-anneal");
+    p.anneal_seed = args.u64_or("anneal-seed", p.anneal_seed);
+  } else if (command == "simulate") {
+    server::SimulateParams& p = spec.simulate.emplace();
+    p.steps = args.u64_or("steps", p.steps);
+    if (p.steps == 0) throw ParseError("--steps must be positive");
+    p.seed = args.u64_or("seed", p.seed);
+    p.prefetch = args.has("prefetch");
+    p.uniform = args.has("uniform");
+    p.inter_arrival_ns = args.u64_or("arrival-ns", p.inter_arrival_ns);
+    p.floorplan = args.has("floorplan");
+  }
+  server::PartitionRequest& req = spec.request;
+  req.id = args.value_or("id", "cli");
+  req.design_xml = std::move(design_xml);
+  target_from_args(args, req.device, req.budget);
+  req.options = server::default_partitioner_options();
+  SearchOptions& search = req.options.search;
+  search.max_candidate_sets =
+      args.u64_or("candidate-sets", search.max_candidate_sets);
+  search.max_move_evaluations =
+      args.u64_or("evals", search.max_move_evaluations);
   // --threads N fans the search's work units over N workers; the default 0
   // resolves to hardware concurrency and 1 runs inline. Any value returns
   // byte-identical schemes (see DESIGN.md, parallel search).
-  opt.search.threads = static_cast<unsigned>(args.u64_or("threads", 0));
-  return opt;
+  search.threads = static_cast<unsigned>(args.u64_or("threads", 0));
+  req.timeout_ms = args.u64_or("timeout", 0);
+  return spec;
 }
 
 int cmd_devices(std::ostream& out) {
@@ -203,13 +217,9 @@ int cmd_devices(std::ostream& out) {
 /// analysis runs.
 analysis::AnalysisOptions analysis_options_from(const Args& args) {
   analysis::AnalysisOptions opt;
-  if (const auto device = args.value("device")) {
-    opt.library.by_name(*device);  // throws DeviceError when unknown
-    opt.device = *device;
-  }
-  if (const auto budget = args.value("budget")) opt.budget = parse_budget(*budget);
-  if (!opt.device.empty() && opt.budget)
-    throw ParseError("--device and --budget are mutually exclusive");
+  target_from_args(args, opt.device, opt.budget);
+  if (!opt.device.empty())
+    opt.library.by_name(opt.device);  // throws DeviceError when unknown
   return opt;
 }
 
@@ -264,77 +274,90 @@ int cmd_generate(const Args& args, std::ostream& out) {
   return 0;
 }
 
+/// One line per placed region of `plan`.
+void print_placements(std::ostream& out, const PlacedFloorplan& plan) {
+  for (const RegionPlacement& p : plan.placements) {
+    if (p.width == 0) continue;
+    out << "  PRR" << p.region + 1 << ": rows [" << p.row << ","
+        << p.row + p.height << ") cols [" << p.col << "," << p.col + p.width
+        << "), " << with_commas(plan.placed_frames[p.region]) << " frames\n";
+  }
+}
+
+/// --ucf: the placement's area constraints.
+void write_ucf(const std::string& path, const Device& device,
+               const PlacedFloorplan& plan, std::ostream& out) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f) throw ParseError("cannot write '" + path + "'");
+  f << to_ucf(device, plan.placements);
+  out << "wrote " << path << "\n";
+}
+
+/// Writes a partial bitstream as DIR/<name>.bit, its name made file-safe,
+/// into `path`; false when the file cannot be opened.
+bool write_bitstream(const std::string& dir, const Bitstream& b,
+                     std::filesystem::path& path) {
+  std::string name = b.name;
+  for (char& c : name)
+    if (c == '{' || c == '}' || c == ',') c = '_';
+  path = std::filesystem::path(dir) / (name + ".bit");
+  std::ofstream f(path, std::ios::binary);
+  f.write(reinterpret_cast<const char*>(b.words.data()),
+          static_cast<std::streamsize>(b.words.size() * 4));
+  return static_cast<bool>(f);
+}
+
+/// Archives the proposed scheme for `simulate --load`.
+void save_partitioning(const std::string& path, const Design& design,
+                       const PartitionerResult& result, std::ostream& note) {
+  if (!result.feasible) throw ParseError("--save needs a feasible result");
+  std::ofstream f(path, std::ios::binary);
+  if (!f) throw ParseError("cannot write '" + path + "'");
+  f << partitioning_to_xml(design, result.base_partitions,
+                           result.proposed.scheme, result.proposed.eval);
+  note << "saved partitioning to " << path << "\n";
+}
+
 int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
   if (json_out && (args.has("floorplan") || args.has("ucf")))
     throw ParseError("--json cannot be combined with --floorplan/--ucf");
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const std::string xml = read_file(args.positionals().at(1));
+  const Design design = design_from_xml(xml);
+  const server::JobSpec spec = request_from_args("partition", args, xml);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  // Lower-bound pre-check for explicit targets: a provably hopeless design
-  // is rejected with the proof before any search runs. (--json keeps the
-  // full engine run so its payload stays byte-identical to the server's.)
+  // A provably hopeless explicit target is rejected with the proof before
+  // any search runs; past it the search is feasible. (--json keeps the full
+  // engine run: its payload reports the infeasible result.)
   if (!json_out) {
-    std::optional<ResourceVec> pre_budget;
-    std::string label = "budget";
-    if (const auto b = args.value("budget")) {
-      pre_budget = parse_budget(*b);
-    } else if (const auto d = args.value("device")) {
-      const Device& device = lib.by_name(*d);
-      pre_budget = device.capacity();
-      label = device.name();
-    }
-    if (pre_budget) {
-      if (const auto proof =
-              analysis::prove_infeasible(design, *pre_budget, lib, label)) {
-        err << "design does not fit the target (lower bound "
-            << (design.largest_configuration_area() + design.static_base())
-                   .to_string()
-            << ", budget " << pre_budget->to_string() << ")\n"
-            << "  " << proof->to_string() << "\n";
-        if (!proof->smallest_fitting_device.empty())
-          err << "  smallest fitting library device: "
-              << proof->smallest_fitting_device << "\n";
-        return 2;
-      }
+    if (const auto proof = server::check_job(spec, design, lib)) {
+      err << server::infeasible_headline(design, proof->capacity) << "\n  "
+          << proof->to_string() << "\n";
+      if (!proof->smallest_fitting_device.empty())
+        err << "  smallest fitting library device: "
+            << proof->smallest_fitting_device << "\n";
+      return 2;
     }
   }
-  const Target t =
-      resolve_and_partition(design, args, lib, options_from(args));
+  const server::JobOutcome job = server::run_job(spec, design, lib);
+  const PartitionerResult& result = job.result;
   if (json_out) {
     // Same encoder as the server's `result` payload, so scripted callers
     // and the integration tests can diff the two byte for byte.
-    out << server::partition_result_json(design, t.result,
-                                         t.device ? t.device->name() : "",
-                                         t.budget)
-               .dump()
-        << "\n";
-    if (const auto save = args.value("save")) {
-      if (!t.result.feasible) throw ParseError("--save needs a feasible result");
-      std::ofstream f(*save, std::ios::binary);
-      if (!f) throw ParseError("cannot write '" + *save + "'");
-      f << partitioning_to_xml(design, t.result.base_partitions,
-                               t.result.proposed.scheme,
-                               t.result.proposed.eval);
-      err << "saved partitioning to " << *save << "\n";
-    }
-    return t.result.feasible ? 0 : 2;
+    out << server::job_payload(spec, design, job) << "\n";
+    if (const auto save = args.value("save"))
+      save_partitioning(*save, design, result, err);
+    return result.feasible ? 0 : 2;
   }
-  if (!t.result.feasible) {
-    err << "design does not fit the target (lower bound "
-        << (design.largest_configuration_area() + design.static_base())
-               .to_string()
-        << ", budget " << t.budget.to_string() << ")\n";
-    return 2;
-  }
-  if (t.device) out << "target device: " << t.device->name() << "\n";
-  out << "budget: " << t.budget.to_string() << "\n\n";
-  out << render_scheme_comparison(t.result);
+  if (job.device) out << "target device: " << job.device->name() << "\n";
+  out << "budget: " << job.budget.to_string() << "\n\n";
+  out << render_scheme_comparison(result);
   out << "\nProposed partitioning:\n"
-      << render_scheme_partitions(design, t.result.base_partitions,
-                                  t.result.proposed.scheme);
+      << render_scheme_partitions(design, result.base_partitions,
+                                  result.proposed.scheme);
 
   if (args.has("search-stats")) {
-    const SearchStats& s = t.result.stats;
+    const SearchStats& s = result.stats;
     out << "\nSearch statistics:\n"
         << "  work units:       " << s.units << " (" << s.units_pruned
         << " pruned by the lower bound)\n"
@@ -357,22 +380,13 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
         << "\n";
   }
 
-  if (const auto save = args.value("save")) {
-    std::ofstream f(*save, std::ios::binary);
-    if (!f) throw ParseError("cannot write '" + *save + "'");
-    f << partitioning_to_xml(design, t.result.base_partitions,
-                             t.result.proposed.scheme, t.result.proposed.eval);
-    out << "saved partitioning to " << *save << "\n";
-  }
+  if (const auto save = args.value("save"))
+    save_partitioning(*save, design, result, out);
 
   if (args.has("floorplan") || args.has("ucf")) {
-    const Device& device = t.device ? *t.device : *[&]() -> const Device* {
-      const Device* d = lib.smallest_fitting(t.budget);
-      if (!d) throw DeviceError("no library device covers the budget");
-      return d;
-    }();
+    const Device& device = server::placement_device(job.device, job.budget, lib);
     const PlacedFloorplan plan =
-        floorplan_scheme(device, t.result.proposed.eval, {}, &lib);
+        floorplan_scheme(device, result.proposed.eval, {}, &lib);
     if (!plan.feasible) {
       err << "floorplanning failed on " << device.name() << ":\n";
       for (const analysis::Diagnostic& d : plan.verdict.diagnostics) {
@@ -383,84 +397,43 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
     }
     out << "\nFloorplan on " << device.name() << " ("
         << to_string(plan.stage) << "):\n";
-    for (const RegionPlacement& p : plan.placements) {
-      if (p.width == 0) continue;
-      out << "  PRR" << p.region + 1 << ": rows [" << p.row << ","
-          << p.row + p.height << ") cols [" << p.col << "," << p.col + p.width
-          << "), " << with_commas(plan.placed_frames[p.region]) << " frames\n";
-    }
+    print_placements(out, plan);
     const SchemeEvaluation placed =
-        with_placement_frames(t.result.proposed.eval, plan);
+        with_placement_frames(result.proposed.eval, plan);
     out << "  placement-true: " << with_commas(placed.total_frames)
         << " total frames (estimate "
-        << with_commas(t.result.proposed.eval.total_frames) << "), worst "
+        << with_commas(result.proposed.eval.total_frames) << "), worst "
         << with_commas(placed.worst_frames) << "\n";
-    if (const auto ucf_path = args.value("ucf")) {
-      std::ofstream f(*ucf_path, std::ios::binary);
-      if (!f) throw ParseError("cannot write '" + *ucf_path + "'");
-      f << to_ucf(device, plan.placements);
-      out << "wrote " << *ucf_path << "\n";
-    }
+    if (const auto ucf_path = args.value("ucf"))
+      write_ucf(*ucf_path, device, plan, out);
   }
   return 0;
 }
 
-server::FloorplanParams floorplan_params_from(const Args& args) {
-  server::FloorplanParams p;
-  p.top_k = args.u64_or("top-k", 5);
-  if (p.top_k == 0) throw ParseError("--top-k must be positive");
-  p.first_fit = args.has("first-fit");
-  p.anneal = !args.has("no-anneal");
-  p.anneal_seed = args.u64_or("anneal-seed", 1);
-  return p;
-}
-
 int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const std::string xml = read_file(args.positionals().at(1));
+  const Design design = design_from_xml(xml);
+  const server::JobSpec spec = request_from_args("floorplan", args, xml);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const server::FloorplanParams params = floorplan_params_from(args);
-  const Target t =
-      resolve_and_partition(design, args, lib, options_from(args));
-  const std::string device_name = t.device ? t.device->name() : "";
-  if (!t.result.feasible) {
-    if (json_out) {
-      out << server::floorplan_result_json(design, t.result, {}, device_name,
-                                           t.budget)
-                 .dump()
-          << "\n";
-    } else {
-      err << "design does not fit the target (lower bound "
-          << (design.largest_configuration_area() + design.static_base())
-                 .to_string()
-          << ", budget " << t.budget.to_string() << ")\n";
+  if (!json_out) {
+    if (const auto proof = server::check_job(spec, design, lib)) {
+      err << server::infeasible_headline(design, proof->capacity) << "\n";
+      return 2;
     }
-    return 2;
   }
-
-  // Placement target: the named/auto-walked device, or — for an explicit
-  // budget — the first library device whose capacity covers it (rectangles
-  // need real columns).
-  const Device* device = t.device;
-  if (!device) {
-    device = lib.smallest_fitting(t.budget);
-    if (!device) throw DeviceError("no library device covers the budget");
-  }
-
-  const FloorplanRerank rerank = floorplan_rerank(
-      design, t.result, *device, t.budget, params.rerank_options(), &lib);
+  const server::JobOutcome job = server::run_job(spec, design, lib);
   if (json_out) {
     // Same encoder as the server's `floorplan` result payload, byte for
     // byte (the same contract as `partition --json`).
-    out << server::floorplan_result_json(design, t.result, rerank,
-                                         device_name, t.budget)
-               .dump()
-        << "\n";
-    return rerank.any_feasible ? 0 : 2;
+    out << server::job_payload(spec, design, job) << "\n";
+    return job.failure.empty() ? 0 : 2;
   }
 
-  out << "placement device: " << device->name() << "\n";
-  out << "budget: " << t.budget.to_string() << "\n\n";
+  const Device& device = *job.placement;
+  const FloorplanRerank& rerank = job.rerank;
+  out << "placement device: " << device.name() << "\n";
+  out << "budget: " << job.budget.to_string() << "\n\n";
   out << "Placement-true re-ranking (" << rerank.ranked.size()
       << " enumerated schemes, " << rerank.vetoed_count << " vetoed):\n";
   for (std::size_t rank = 0; rank < rerank.ranked.size(); ++rank) {
@@ -482,9 +455,8 @@ int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
           << with_commas(c.plan.stats.waste_frames) << ")\n";
     }
   }
-  if (!rerank.any_feasible) {
-    err << "no enumerated scheme has a legal floorplan on " << device->name()
-        << "\n";
+  if (!job.failure.empty()) {
+    err << job.failure << "\n";
     return 2;
   }
 
@@ -502,52 +474,61 @@ int cmd_floorplan(const Args& args, std::ostream& out, std::ostream& err) {
     out << "\nthe Eq. 10 winner survives placement\n";
   }
 
-  out << "\nWinner floorplan on " << device->name() << " ("
+  out << "\nWinner floorplan on " << device.name() << " ("
       << to_string(winner.plan.stage) << "):\n";
-  for (std::size_t r = 0; r < winner.plan.placements.size(); ++r) {
-    const RegionPlacement& p = winner.plan.placements[r];
-    if (p.width == 0) continue;
-    out << "  PRR" << r + 1 << ": rows [" << p.row << "," << p.row + p.height
-        << ") cols [" << p.col << "," << p.col + p.width << "), "
-        << with_commas(winner.plan.placed_frames[r]) << " frames\n";
-  }
+  print_placements(out, winner.plan);
   out << "\nWinning partitioning:\n"
-      << render_scheme_partitions(design, t.result.base_partitions,
+      << render_scheme_partitions(design, job.result.base_partitions,
                                   winner.scheme);
-  if (const auto ucf_path = args.value("ucf")) {
-    std::ofstream f(*ucf_path, std::ios::binary);
-    if (!f) throw ParseError("cannot write '" + *ucf_path + "'");
-    f << to_ucf(*device, winner.plan.placements);
-    out << "wrote " << *ucf_path << "\n";
-  }
+  if (const auto ucf_path = args.value("ucf"))
+    write_ucf(*ucf_path, device, winner.plan, out);
   return 0;
 }
 
 int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   const bool json_out = args.has("json");
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const std::string xml = read_file(args.positionals().at(1));
+  const Design design = design_from_xml(xml);
+  server::JobSpec spec = request_from_args("simulate", args, xml);
+  const server::SimulateParams& params = *spec.simulate;
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const std::size_t n = design.configurations().size();
-  if (n < 2) throw ParseError("simulation needs at least two configurations");
-
-  server::SimulateParams params;
-  params.steps = args.u64_or("steps", 100'000);
-  if (params.steps == 0) throw ParseError("--steps must be positive");
-  params.seed = args.u64_or("seed", 1);
-  params.prefetch = args.has("prefetch");
-  params.uniform = args.has("uniform");
-  params.inter_arrival_ns = args.u64_or("arrival-ns", 0);
-  params.floorplan = args.has("floorplan");
-  if (params.floorplan && args.value("load"))
+  const std::optional<std::string> load = args.value("load");
+  if (params.floorplan && load)
     throw ParseError("--floorplan cannot be combined with --load");
+  if (load) {
+    // A saved partitioning replays without a search, so without a target.
+    spec.request.device.clear();
+    spec.request.budget.reset();
+  }
+  if (server::check_job(spec, design, lib)) {
+    err << "design does not fit the target\n";
+    return 2;
+  }
 
-  // Schemes to replay: the saved partitioning, or the search's proposal
-  // (plus its ranked runners-up with --rank).
-  std::vector<PartitionScheme> schemes;
-  std::vector<SchemeEvaluation> evals;
-  std::string device_name;
-  ResourceVec budget;
-  if (const auto load = args.value("load")) {
+  // CLI-only layers on the engine's simulate stage: the runners-up
+  // (--rank), the prefetcher's idle budget and a recorded trace.
+  server::ReplayOptions replay;
+  replay.runners_up = args.has("rank");
+  replay.idle_frames_budget =
+      args.u64_or("idle-frames", replay.idle_frames_budget);
+  if (const auto trace_path = args.value("trace")) {
+    const std::size_t configs = design.configurations().size();
+    const sim::TraceParse parsed =
+        sim::parse_trace(read_file(*trace_path), configs);
+    if (!parsed.diagnostics.empty())
+      err << analysis::render_text(parsed.diagnostics, *trace_path);
+    if (!parsed.ok()) return 4;
+    if (parsed.trace.transitions() == 0) {
+      err << "trace '" << *trace_path << "' has no transitions\n";
+      return 4;
+    }
+    Rng rng(params.seed);
+    replay.workload = server::SimulateSetup{MarkovChain::random(rng, configs),
+                                            parsed.trace, "file"};
+  }
+
+  server::JobOutcome job;
+  if (load) {
     // Re-derive the base partitions and evaluate the saved scheme instead
     // of re-running the search. The budget only gates fit; use an
     // unconstrained one for simulation.
@@ -562,121 +543,28 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
     if (scheme.label.empty()) scheme.label = "loaded";
-    schemes.push_back(std::move(scheme));
-    evals.push_back(std::move(eval));
+    job.replay = server::replay_schemes(design, params, replay,
+                                        spec.request.options.search.threads,
+                                        {scheme}, {eval});
   } else {
-    const Target t =
-        resolve_and_partition(design, args, lib, options_from(args));
-    if (!t.result.feasible) {
-      err << "design does not fit the target\n";
+    job = server::run_job(spec, design, lib, replay);
+    if (!job.failure.empty()) {
+      err << job.failure << "\n";
       return 2;
     }
-    if (t.device) device_name = t.device->name();
-    budget = t.budget;
-    schemes.push_back(t.result.proposed.scheme);
-    evals.push_back(t.result.proposed.eval);
-    if (args.has("rank")) {
-      // Replay the runners-up too; the output then ranks the candidates by
-      // what the workload actually pays instead of the Eq. 10 proxy.
-      const ConnectivityMatrix matrix(design);
-      const auto partitions = enumerate_base_partitions(design, matrix);
-      for (std::size_t i = 1; i < t.result.alternatives.size(); ++i) {
-        PartitionScheme alt = t.result.alternatives[i].scheme;
-        SchemeEvaluation eval =
-            evaluate_scheme(design, matrix, partitions, alt, t.budget);
-        if (!eval.valid || !eval.fits) continue;
-        if (alt.label.empty()) alt.label = "alt" + std::to_string(i);
-        schemes.push_back(std::move(alt));
-        evals.push_back(std::move(eval));
-      }
-    }
-    if (params.floorplan) {
-      // Replay against placement-true ICAP costs: floorplan every scheme
-      // through the ladder and patch its frame counts. A vetoed proposal is
-      // fatal; vetoed runners-up just drop out of the --rank replay.
-      const Device* device = t.device ? t.device : lib.smallest_fitting(t.budget);
-      if (!device) throw DeviceError("no library device covers the budget");
-      std::vector<PartitionScheme> kept_schemes;
-      std::vector<SchemeEvaluation> kept_evals;
-      for (std::size_t i = 0; i < schemes.size(); ++i) {
-        const PlacedFloorplan plan = floorplan_scheme(*device, evals[i]);
-        if (!plan.feasible) {
-          if (i == 0) {
-            err << "the proposed scheme has no legal floorplan on "
-                << device->name() << "\n";
-            return 2;
-          }
-          continue;
-        }
-        kept_schemes.push_back(std::move(schemes[i]));
-        kept_evals.push_back(
-            with_placement_frames(std::move(evals[i]), plan));
-      }
-      schemes = std::move(kept_schemes);
-      evals = std::move(kept_evals);
-    }
   }
 
-  // The workload: a trace file, the Eulerian all-pairs circuit, or a
-  // Markov-sampled trace (the default). The environment chain doubles as
-  // the prefetch predictor in every mode.
-  sim::TransitionTrace trace;
-  std::string source;
-  std::optional<MarkovChain> env;
-  if (const auto trace_path = args.value("trace")) {
-    const sim::TraceParse parsed =
-        sim::parse_trace(read_file(*trace_path), n);
-    if (!parsed.diagnostics.empty())
-      err << analysis::render_text(parsed.diagnostics, *trace_path);
-    if (!parsed.ok()) return 4;
-    if (parsed.trace.transitions() == 0) {
-      err << "trace '" << *trace_path << "' has no transitions\n";
-      return 4;
-    }
-    trace = parsed.trace;
-    source = "file";
-    Rng rng(params.seed);
-    env = MarkovChain::random(rng, n);
-  } else {
-    server::SimulateSetup setup = server::simulate_setup(n, params);
-    trace = std::move(setup.trace);
-    source = std::move(setup.source);
-    env = std::move(setup.env);
-  }
-
-  sim::SimulationOptions sopt;
-  sopt.prefetch = params.prefetch;
-  sopt.predictor = &*env;
-  sopt.inter_arrival_ns = params.inter_arrival_ns;
-  sopt.idle_frames_budget = args.u64_or("idle-frames", ~std::uint64_t{0});
-
-  std::vector<sim::SchemeRef> refs;
-  refs.reserve(schemes.size());
-  for (std::size_t i = 0; i < schemes.size(); ++i)
-    refs.push_back(sim::SchemeRef{&schemes[i], &evals[i]});
-  const std::vector<sim::SimulationResult> results = sim::simulate_schemes(
-      design, refs, trace, sopt,
-      static_cast<unsigned>(args.u64_or("threads", 0)));
-
-  std::vector<server::SimulatedScheme> rows;
-  rows.reserve(schemes.size());
-  for (std::size_t i = 0; i < schemes.size(); ++i)
-    rows.push_back(server::SimulatedScheme{schemes[i].label,
-                                           evals[i].total_frames,
-                                           evals[i].worst_frames, results[i]});
   if (json_out) {
     // Same encoder as the server's `simulate` result payload, byte for byte.
-    out << server::simulate_result_json(design, device_name, budget, params,
-                                        source, trace.transitions(), rows)
-               .dump()
-        << "\n";
+    out << server::job_payload(spec, design, job) << "\n";
     return 0;
   }
 
-  if (!device_name.empty()) out << "target device: " << device_name << "\n";
-  out << "trace: " << source << ", " << with_commas(trace.transitions())
-      << " transitions (seed " << params.seed << ")\n";
-  for (const server::SimulatedScheme& row : rows) {
+  if (job.device) out << "target device: " << job.device->name() << "\n";
+  out << "trace: " << job.replay.source << ", "
+      << with_commas(job.replay.transitions) << " transitions (seed "
+      << params.seed << ")\n";
+  for (const server::SimulatedScheme& row : job.replay.rows) {
     const sim::SimulationResult& r = row.result;
     out << "\n" << row.label << ": " << with_commas(row.total_frames)
         << " total frames (Eq. 10), worst " << with_commas(row.worst_frames)
@@ -699,31 +587,28 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const std::string xml = read_file(args.positionals().at(1));
+  const Design design = design_from_xml(xml);
+  const server::JobSpec spec = request_from_args("bitstreams", args, xml);
   const DeviceLibrary lib = DeviceLibrary::extended();
-  const Target t =
-      resolve_and_partition(design, args, lib, options_from(args));
-  if (!t.result.feasible) {
+  // check_job's lower bound is exactly the search's feasibility test, so a
+  // job that passes it partitions feasibly.
+  if (server::check_job(spec, design, lib)) {
     err << "design does not fit the target\n";
     return 2;
   }
+  const PartitionerResult result = server::run_job(spec, design, lib).result;
   const auto set =
-      generate_bitstreams(design, t.result.base_partitions,
-                          t.result.proposed.scheme, t.result.proposed.eval);
+      generate_bitstreams(design, result.base_partitions,
+                          result.proposed.scheme, result.proposed.eval);
   out << set.size() << " partial bitstreams, " << with_commas(total_bytes(set))
       << " bytes total\n";
   if (const auto dir = args.value("out")) {
     std::filesystem::create_directories(*dir);
     for (const Bitstream& b : set) {
-      std::string fname = b.name;
-      for (char& c : fname)
-        if (c == '{' || c == '}' || c == ',') c = '_';
-      const std::filesystem::path path =
-          std::filesystem::path(*dir) / (fname + ".bit");
-      std::ofstream f(path, std::ios::binary);
-      if (!f) throw ParseError("cannot write '" + path.string() + "'");
-      f.write(reinterpret_cast<const char*>(b.words.data()),
-              static_cast<std::streamsize>(b.words.size() * 4));
+      std::filesystem::path path;
+      if (!write_bitstream(*dir, b, path))
+        throw ParseError("cannot write '" + path.string() + "'");
       out << "  " << path.string() << " (" << with_commas(b.bytes())
           << " bytes)\n";
     }
@@ -736,17 +621,17 @@ int cmd_bitstreams(const Args& args, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
-  const Design design = design_from_xml(read_file(args.positionals().at(1)));
+  const std::string xml = read_file(args.positionals().at(1));
+  const Design design = design_from_xml(xml);
+  const server::JobSpec spec = request_from_args("flow", args, xml);
   const DeviceLibrary lib = DeviceLibrary::extended();
   FlowOptions opt;
-  opt.partitioner = options_from(args);
+  opt.partitioner = spec.request.options;
 
-  FlowResult r;
-  if (const auto device = args.value("device")) {
-    r = run_flow(design, lib.by_name(*device), opt);
-  } else {
-    r = run_flow_auto_device(design, lib, opt);
-  }
+  const FlowResult r =
+      spec.request.device.empty()
+          ? run_flow_auto_device(design, lib, opt)
+          : run_flow(design, lib.by_name(spec.request.device), opt);
   if (!r.success) {
     err << "flow failed: " << r.failure_reason << "\n";
     return 2;
@@ -759,21 +644,16 @@ int cmd_flow(const Args& args, std::ostream& out, std::ostream& err) {
 
   if (const auto dir = args.value("out")) {
     std::filesystem::create_directories(*dir);
-    const std::filesystem::path base(*dir);
     {
-      std::ofstream f(base / "design.ucf", std::ios::binary);
+      std::ofstream f(std::filesystem::path(*dir) / "design.ucf",
+                      std::ios::binary);
       if (!f) throw ParseError("cannot write UCF into '" + *dir + "'");
       f << r.ucf;
     }
-    for (const Bitstream& b : r.bitstreams) {
-      std::string fname = b.name;
-      for (char& c : fname)
-        if (c == '{' || c == '}' || c == ',') c = '_';
-      std::ofstream f(base / (fname + ".bit"), std::ios::binary);
-      if (!f) throw ParseError("cannot write bitstreams into '" + *dir + "'");
-      f.write(reinterpret_cast<const char*>(b.words.data()),
-              static_cast<std::streamsize>(b.words.size() * 4));
-    }
+    std::filesystem::path path;
+    for (const Bitstream& b : r.bitstreams)
+      if (!write_bitstream(*dir, b, path))
+        throw ParseError("cannot write bitstreams into '" + *dir + "'");
     out << "wrote design.ucf and " << r.bitstreams.size()
         << " .bit files to " << *dir << "\n";
   }
@@ -964,40 +844,32 @@ server::Client connect_client(const Args& args) {
                         static_cast<std::uint16_t>(args.u64_or("port", 9797)));
 }
 
-std::string error_json(const server::ClientResponse& resp) {
-  json::Value v = json::Value::object();
-  v.set("code", json::Value(resp.error_code));
-  v.set("message", json::Value(resp.error_message));
-  return v.dump();
+/// Reports a server response that needs no text rendering: `--json`
+/// output (result or error object) or an error line. Returns its exit code;
+/// nullopt for an ok response the caller renders as text.
+std::optional<int> report_response(const server::ClientResponse& resp,
+                                   const Args& args, std::ostream& out,
+                                   std::ostream& err) {
+  if (args.has("json")) {
+    json::Value error = json::Value::object();
+    error.set("code", json::Value(resp.error_code));
+    error.set("message", json::Value(resp.error_message));
+    (resp.ok ? out : err) << (resp.ok ? resp.raw_result : error.dump()) << "\n";
+  } else if (!resp.ok) {
+    err << "error [" << resp.error_code << "]: " << resp.error_message << "\n";
+  } else {
+    return std::nullopt;
+  }
+  return response_exit_code(resp);
 }
 
 int cmd_submit(const Args& args, std::ostream& out, std::ostream& err) {
-  server::PartitionRequest req;
-  req.id = args.value_or("id", "cli");
-  req.design_xml = read_file(args.positionals().at(1));
-  if (const auto device = args.value("device")) req.device = *device;
-  if (const auto budget = args.value("budget")) req.budget = parse_budget(*budget);
-  if (!req.device.empty() && req.budget)
-    throw ParseError("--device and --budget are mutually exclusive");
-  req.options = server::default_partitioner_options();
-  req.options.search.max_candidate_sets =
-      args.u64_or("candidate-sets", req.options.search.max_candidate_sets);
-  req.options.search.max_move_evaluations =
-      args.u64_or("evals", req.options.search.max_move_evaluations);
-  req.options.search.threads = static_cast<unsigned>(args.u64_or("threads", 0));
-  req.timeout_ms = args.u64_or("timeout", 0);
-
+  const server::JobSpec spec =
+      request_from_args("submit", args, read_file(args.positionals().at(1)));
   server::Client client = connect_client(args);
-  const server::ClientResponse resp = client.submit(req);
-  if (args.has("json")) {
-    (resp.ok ? out : err) << (resp.ok ? resp.raw_result : error_json(resp))
-                          << "\n";
-    return response_exit_code(resp);
-  }
-  if (!resp.ok) {
-    err << "error [" << resp.error_code << "]: " << resp.error_message << "\n";
-    return response_exit_code(resp);
-  }
+  const server::ClientResponse resp = client.submit(spec.request);
+  if (const std::optional<int> code = report_response(resp, args, out, err))
+    return *code;
   const json::Value& r = resp.result;
   out << "design: " << r.at("design").as_string() << "\n";
   if (const json::Value* device = r.find("device"); device && device->is_string())
@@ -1018,21 +890,22 @@ int cmd_submit(const Args& args, std::ostream& out, std::ostream& err) {
 int cmd_client_stats(const Args& args, std::ostream& out, std::ostream& err) {
   server::Client client = connect_client(args);
   const server::ClientResponse resp = client.stats();
-  if (args.has("json")) {
-    (resp.ok ? out : err) << (resp.ok ? resp.raw_result : error_json(resp))
-                          << "\n";
-    return response_exit_code(resp);
-  }
-  if (!resp.ok) {
-    err << "error [" << resp.error_code << "]: " << resp.error_message << "\n";
-    return response_exit_code(resp);
-  }
+  if (const std::optional<int> code = report_response(resp, args, out, err))
+    return *code;
   for (const auto& [key, value] : resp.result.members())
     out << key << ": " << value.dump() << "\n";
   return 0;
 }
 
 }  // namespace
+
+server::JobSpec job_spec(const std::vector<std::string>& args) {
+  const Args parsed(args, kSwitches);
+  if (parsed.positionals().size() < 2)
+    throw ParseError("expected a command and a design file");
+  return request_from_args(parsed.positionals()[0], parsed,
+                           read_file(parsed.positionals()[1]));
+}
 
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err) {
@@ -1051,9 +924,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
           << " (supported: " << simd::supported_tier_list() << ")\n";
       return 0;
     }
-    const Args parsed(args, {"floorplan", "prefetch", "json", "search-stats",
-                             "uniform", "rank", "first-fit", "no-anneal",
-                             "legacy-io"});
+    const Args parsed(args, kSwitches);
     if (parsed.positionals().empty()) {
       err << "error: missing command\n" << kUsage;
       return 1;

@@ -4,36 +4,25 @@
 #include <string>
 #include <vector>
 
+namespace prpart::server {
+struct JobSpec;  // server/job.hpp
+}  // namespace prpart::server
+
 namespace prpart::cli {
 
 /// Entry point of the `prpart` command-line tool, separated from main() so
-/// the tests can drive it with captured streams.
-///
-/// Commands:
-///   prpart help
-///   prpart devices
-///   prpart analyze <design.xml> [--device NAME | --budget C,B,D] [--json]
-///                  (alias: lint)
-///   prpart estimate [--luts N] [--ffs N] [--mults N] [--kbits N]
-///                   [--distbits N]
-///   prpart generate [--seed S] [--class logic|memory|dsp|dspmem] [-out F]
-///   prpart partition <design.xml> [--device NAME | --budget C,B,D]
-///                    [--candidate-sets N] [--evals N]
-///                    [--floorplan] [--ucf FILE]
-///   prpart simulate <design.xml> [--device NAME | --budget C,B,D]
-///                   [--steps N] [--seed S] [--prefetch]
-///   prpart bitstreams <design.xml> [--device NAME | --budget C,B,D]
-///                     [--out DIR]
-///   prpart flow <design.xml> [--device NAME] [--out DIR]
-///   prpart optimal <design.xml> [--device NAME | --budget C,B,D]
-///                  [--states N]
-///
-/// `partition --save FILE` archives the chosen scheme; `simulate --load
-/// FILE` replays it without re-running the search.
+/// the tests can drive it with captured streams. `prpart help` prints the
+/// commands and their flags.
 ///
 /// Returns a process exit code (0 success, 1 user error, 2 infeasible;
 /// `analyze` exits 4 when any error-severity diagnostic fires).
 int run(const std::vector<std::string>& args, std::ostream& out,
         std::ostream& err);
+
+/// The job `prpart <command> <design.xml> [flags]` describes, for the job
+/// commands (partition, floorplan, simulate, bitstreams, flow, submit): the
+/// one flag parser behind both what the one-shot commands run and what
+/// `submit` sends. Throws ParseError on bad flags, like run() reports them.
+server::JobSpec job_spec(const std::vector<std::string>& args);
 
 }  // namespace prpart::cli

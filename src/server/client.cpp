@@ -4,19 +4,25 @@
 
 namespace prpart::server {
 
+namespace {
+
+/// A request's `[clbs, brams, dsps]` budget triple.
+json::Value budget_json(const ResourceVec& budget) {
+  json::Value triple = json::Value::array();
+  for (const std::uint32_t c : {budget.clbs, budget.brams, budget.dsps})
+    triple.push_back(json::Value(static_cast<std::uint64_t>(c)));
+  return triple;
+}
+
+}  // namespace
+
 json::Value partition_request_json(const PartitionRequest& request) {
   json::Value v = json::Value::object();
   v.set("type", json::Value("partition"));
   v.set("id", json::Value(request.id));
   v.set("design_xml", json::Value(request.design_xml));
   if (!request.device.empty()) v.set("device", json::Value(request.device));
-  if (request.budget) {
-    json::Value budget = json::Value::array();
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->clbs)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->brams)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->dsps)));
-    v.set("budget", budget);
-  }
+  if (request.budget) v.set("budget", budget_json(*request.budget));
   const PartitionerOptions defaults = default_partitioner_options();
   if (request.options.search.max_candidate_sets !=
       defaults.search.max_candidate_sets)
@@ -40,13 +46,7 @@ json::Value analyze_request_json(const AnalyzeRequest& request) {
   v.set("id", json::Value(request.id));
   v.set("design_xml", json::Value(request.design_xml));
   if (!request.device.empty()) v.set("device", json::Value(request.device));
-  if (request.budget) {
-    json::Value budget = json::Value::array();
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->clbs)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->brams)));
-    budget.push_back(json::Value(static_cast<std::uint64_t>(request.budget->dsps)));
-    v.set("budget", budget);
-  }
+  if (request.budget) v.set("budget", budget_json(*request.budget));
   return v;
 }
 

@@ -103,12 +103,6 @@ json::Value baseline_json(const SchemeSummary& summary) {
   return v;
 }
 
-std::uint32_t parse_res_component(const json::Value& v) {
-  const std::uint64_t raw = v.as_u64();
-  if (raw > UINT32_MAX) throw ParseError("budget component out of range");
-  return static_cast<std::uint32_t>(raw);
-}
-
 /// Rejects request fields outside `known`, mirroring Args::check_known on
 /// the CLI.
 template <std::size_t N>
@@ -122,26 +116,36 @@ void check_known_fields(const json::Value& doc, const char* (&known)[N]) {
   }
 }
 
-/// The design/target/effort/timeout core shared by partition and simulate
-/// requests (the known-field check stays with each request type).
-void parse_partition_fields(const json::Value& doc, PartitionRequest& p) {
-  p.options = default_partitioner_options();
-  p.design_xml = doc.at("design_xml").as_string();
-  if (p.design_xml.empty()) throw ParseError("design_xml must not be empty");
-  if (const json::Value* device = doc.find("device")) {
-    p.device = device->as_string();
-    if (p.device.empty()) throw ParseError("device must not be empty");
+/// The design and target fields shared by every job request and `analyze`
+/// (the known-field check stays with each request type).
+void parse_target_fields(const json::Value& doc, std::string& design_xml,
+                         std::string& device,
+                         std::optional<ResourceVec>& budget) {
+  design_xml = doc.at("design_xml").as_string();
+  if (design_xml.empty()) throw ParseError("design_xml must not be empty");
+  if (const json::Value* v = doc.find("device")) {
+    device = v->as_string();
+    if (device.empty()) throw ParseError("device must not be empty");
   }
-  if (const json::Value* budget = doc.find("budget")) {
-    const auto& items = budget->items();
+  if (const json::Value* v = doc.find("budget")) {
+    const auto& items = v->items();
     if (items.size() != 3)
       throw ParseError("budget must be a [clbs, brams, dsps] triple");
-    p.budget = ResourceVec{parse_res_component(items[0]),
-                           parse_res_component(items[1]),
-                           parse_res_component(items[2])};
+    budget = ResourceVec{budget_component(items[0].as_u64()),
+                         budget_component(items[1].as_u64()),
+                         budget_component(items[2].as_u64())};
   }
-  if (!p.device.empty() && p.budget)
+  if (!device.empty() && budget)
     throw ParseError("device and budget are mutually exclusive");
+}
+
+/// The id/design/target/effort/timeout core shared by partition, simulate
+/// and floorplan requests.
+void parse_partition_fields(const json::Value& doc, const std::string& id,
+                            PartitionRequest& p) {
+  p.id = id;
+  p.options = default_partitioner_options();
+  parse_target_fields(doc, p.design_xml, p.device, p.budget);
   if (const json::Value* v = doc.find("candidate_sets"))
     p.options.search.max_candidate_sets = v->as_u64();
   if (const json::Value* v = doc.find("evals"))
@@ -198,6 +202,11 @@ FloorplanRerankOptions FloorplanParams::rerank_options() const {
   return opt;
 }
 
+std::uint32_t budget_component(std::uint64_t raw) {
+  if (raw > UINT32_MAX) throw ParseError("budget component out of range");
+  return static_cast<std::uint32_t>(raw);
+}
+
 PartitionerOptions default_partitioner_options() {
   PartitionerOptions opt;
   opt.search.max_candidate_sets = 48;
@@ -240,42 +249,20 @@ Request parse_request(const std::string& line) {
     a.id = req.id;
     static const char* known[] = {"type", "id", "design_xml", "device",
                                   "budget"};
-    for (const auto& [key, value] : doc.members()) {
-      (void)value;
-      if (std::find_if(std::begin(known), std::end(known), [&](const char* k) {
-            return key == k;
-          }) == std::end(known))
-        throw ParseError("unknown request field '" + key + "'");
-    }
-    a.design_xml = doc.at("design_xml").as_string();
-    if (a.design_xml.empty()) throw ParseError("design_xml must not be empty");
-    if (const json::Value* device = doc.find("device")) {
-      a.device = device->as_string();
-      if (a.device.empty()) throw ParseError("device must not be empty");
-    }
-    if (const json::Value* budget = doc.find("budget")) {
-      const auto& items = budget->items();
-      if (items.size() != 3)
-        throw ParseError("budget must be a [clbs, brams, dsps] triple");
-      a.budget = ResourceVec{parse_res_component(items[0]),
-                             parse_res_component(items[1]),
-                             parse_res_component(items[2])};
-    }
-    if (!a.device.empty() && a.budget)
-      throw ParseError("device and budget are mutually exclusive");
+    check_known_fields(doc, known);
+    parse_target_fields(doc, a.design_xml, a.device, a.budget);
     return req;
   }
   if (type == "simulate") {
     req.type = Request::Type::Simulate;
     SimulateRequest& s = req.simulate;
-    s.partition.id = req.id;
     static const char* known[] = {
         "type",    "id",         "design_xml", "device",
         "budget",  "candidate_sets", "evals",  "threads",
         "timeout_ms", "steps",   "seed",       "prefetch",
         "uniform", "inter_arrival_ns", "floorplan"};
     check_known_fields(doc, known);
-    parse_partition_fields(doc, s.partition);
+    parse_partition_fields(doc, req.id, s.partition);
     if (const json::Value* v = doc.find("steps")) {
       s.params.steps = v->as_u64();
       if (s.params.steps == 0) throw ParseError("steps must be positive");
@@ -294,13 +281,12 @@ Request parse_request(const std::string& line) {
   if (type == "floorplan") {
     req.type = Request::Type::Floorplan;
     FloorplanRequest& f = req.floorplan;
-    f.partition.id = req.id;
     static const char* known[] = {
         "type",   "id",     "design_xml",     "device",
         "budget", "candidate_sets", "evals",  "threads",
         "timeout_ms", "top_k", "strategy", "anneal", "anneal_seed"};
     check_known_fields(doc, known);
-    parse_partition_fields(doc, f.partition);
+    parse_partition_fields(doc, req.id, f.partition);
     if (const json::Value* v = doc.find("top_k")) {
       f.params.top_k = v->as_u64();
       if (f.params.top_k == 0) throw ParseError("top_k must be positive");
@@ -323,15 +309,12 @@ Request parse_request(const std::string& line) {
   if (type != "partition") throw ParseError("unknown request type '" + type + "'");
 
   req.type = Request::Type::Partition;
-  PartitionRequest& p = req.partition;
-  p.id = req.id;
-
   // Unknown fields fail loudly, mirroring Args::check_known on the CLI.
   static const char* known[] = {"type",    "id",      "design_xml",
                                 "device",  "budget",  "candidate_sets",
                                 "evals",   "threads", "timeout_ms"};
   check_known_fields(doc, known);
-  parse_partition_fields(doc, p);
+  parse_partition_fields(doc, req.id, req.partition);
   return req;
 }
 

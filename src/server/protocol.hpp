@@ -121,38 +121,35 @@ struct Request {
 /// the server maps that to a `bad_request` response.
 Request parse_request(const std::string& line);
 
-/// Effort defaults shared by `prpart partition`, `prpart submit` and the
+/// Effort defaults shared by every CLI job command, `prpart submit` and the
 /// server, so the same submission produces the same work everywhere.
 PartitionerOptions default_partitioner_options();
 
-/// The single scheme/stats encoder shared by the server and the CLI's
-/// `--json` output (the byte-identity contract of the integration tests).
-///
-/// Regions and partitions are rendered as sorted mode-name lists and only
-/// the deterministic core of SearchStats is included, so the encoding is
-/// identical for every thread count and for designs that differ only in
-/// module/mode/configuration declaration order.
+/// One budget component, range-checked: the single check behind a request
+/// line's `budget` triple and the CLI's `--budget C,B,D`. Throws ParseError
+/// ("budget component out of range") above UINT32_MAX.
+std::uint32_t budget_component(std::uint64_t raw);
+
+/// The partition payload (see job_payload). Regions and partitions render as
+/// sorted mode-name lists and only the deterministic core of SearchStats is
+/// included, so the bytes are identical for every thread count and for
+/// designs that differ only in declaration order.
 json::Value partition_result_json(const Design& design,
                                   const PartitionerResult& result,
                                   const std::string& device_name,
                                   const ResourceVec& budget);
 
-/// The single floorplan-result encoder shared by the server's `floorplan`
-/// response and the CLI's `prpart floorplan --json` output, byte for byte —
-/// the same contract as partition_result_json. Candidates are rendered in
-/// placement-true rank order with their rectangles in scheme-region order;
-/// vetoed candidates carry their verdict diagnostics. The winner additionally
-/// gets the canonical scheme rendering with placement-true frame counts.
+/// The floorplan payload (see job_payload): candidates in placement-true
+/// rank order with rectangles in scheme-region order, vetoed candidates with
+/// their verdict diagnostics, and the winner's scheme with placed frames.
 json::Value floorplan_result_json(const Design& design,
                                   const PartitionerResult& result,
                                   const FloorplanRerank& rerank,
                                   const std::string& device_name,
                                   const ResourceVec& budget);
 
-/// The workload a SimulateParams describes, materialised: the environment
-/// chain (also the prefetch predictor) and the transition trace. Shared by
-/// the server worker and `prpart simulate` so both replay the exact same
-/// transitions for the same params — the byte-identity contract again.
+/// The workload a SimulateParams describes: the environment chain (also the
+/// prefetch predictor) and the transition trace.
 struct SimulateSetup {
   MarkovChain env;
   sim::TransitionTrace trace;
@@ -170,10 +167,8 @@ struct SimulatedScheme {
   sim::SimulationResult result;
 };
 
-/// The single simulate-result encoder shared by the server's `simulate`
-/// response and the CLI's `prpart simulate --json` output, byte for byte —
-/// the same contract as partition_result_json. `trace_source` names where
-/// the transitions came from ("markov", "uniform" or "file").
+/// The simulate payload (see job_payload); `trace_source` names where the
+/// transitions came from ("markov", "uniform" or "file").
 json::Value simulate_result_json(const Design& design,
                                  const std::string& device_name,
                                  const ResourceVec& budget,

@@ -308,18 +308,18 @@ void Server::handle_request(const std::string& line, std::string line_key,
       case Request::Type::Partition:
         // `deliver` is passed by value (copied) so the catch blocks below
         // can still answer when admission throws before taking ownership.
-        admit_job(std::move(request.partition), std::nullopt, std::nullopt,
+        admit_job(JobSpec{std::move(request.partition), {}, {}},
                   std::move(line_key), deliver, std::move(notice));
         return;
       case Request::Type::Simulate:
-        admit_job(std::move(request.simulate.partition),
-                  request.simulate.params, std::nullopt, std::move(line_key),
-                  deliver, std::move(notice));
+        admit_job(JobSpec{std::move(request.simulate.partition),
+                          request.simulate.params, {}},
+                  std::move(line_key), deliver, std::move(notice));
         return;
       case Request::Type::Floorplan:
-        admit_job(std::move(request.floorplan.partition), std::nullopt,
-                  request.floorplan.params, std::move(line_key), deliver,
-                  std::move(notice));
+        admit_job(JobSpec{std::move(request.floorplan.partition), {},
+                          request.floorplan.params},
+                  std::move(line_key), deliver, std::move(notice));
         return;
     }
     stats_.job_failed();
@@ -353,73 +353,44 @@ std::string Server::handle_analyze(const AnalyzeRequest& request) {
   return ok_response(request.id, analysis::analysis_json(sa.result).dump());
 }
 
-void Server::admit_job(PartitionRequest request,
-                       std::optional<SimulateParams> simulate,
-                       std::optional<FloorplanParams> floorplan,
-                       std::string line_key, Deliver deliver, Deliver notice) {
+void Server::admit_job(JobSpec spec, std::string line_key, Deliver deliver,
+                       Deliver notice) {
   const std::int64_t submit_ns = monotonic_now_ns();
   // Validate everything the worker would otherwise trip over, so
-  // bad_request never costs a queue slot: the design must parse and a named
-  // device must exist.
-  Design design = design_from_xml(request.design_xml);
-  if (!request.device.empty()) library_.by_name(request.device);
-  if (simulate && design.configurations().size() < 2)
-    throw ParseError("simulation needs at least two configurations");
-
-  // Lower-bound pre-check for explicit targets: a provably hopeless job is
-  // answered `infeasible` with the proof before admission, so it never
-  // occupies a queue slot or burns a search.
-  {
-    std::optional<ResourceVec> budget;
-    std::string label;
-    if (!request.device.empty()) {
-      const Device& device = library_.by_name(request.device);
-      budget = device.capacity();
-      label = device.name();
-    } else if (request.budget) {
-      budget = *request.budget;
-      label = "budget";
-    }
-    if (budget) {
-      if (const auto proof =
-              analysis::prove_infeasible(design, *budget, library_, label)) {
-        stats_.job_infeasible(latency_us_since(submit_ns));
-        deliver(error_response(
-            request.id, ErrorCode::Infeasible,
-            "design does not fit the target (lower bound " +
-                (design.largest_configuration_area() + design.static_base())
-                    .to_string() +
-                ", budget " + budget->to_string() + "); " + proof->to_string()));
-        return;
-      }
-    }
+  // bad_request never costs a queue slot; a provably hopeless explicit
+  // target is answered `infeasible` with the proof, so it never occupies a
+  // queue slot or burns a search.
+  Design design = design_from_xml(spec.request.design_xml);
+  if (const auto proof = check_job(spec, design, library_)) {
+    stats_.job_infeasible(latency_us_since(submit_ns));
+    deliver(error_response(spec.request.id, ErrorCode::Infeasible,
+                           infeasible_headline(design, proof->capacity) +
+                               "; " + proof->to_string()));
+    return;
   }
-  if (request.options.search.threads == 0)
-    request.options.search.threads = std::max(1u, options_.job_threads);
+  PartitionerOptions& options = spec.request.options;
+  if (options.search.threads == 0)
+    options.search.threads = std::max(1u, options_.job_threads);
 
   // Simulate and floorplan jobs are cached next to partition jobs: both
   // stages are pure functions of (design, target, options, params), so the
   // params extend the target identity in the key.
-  std::string target = request.target_string();
-  if (simulate) target += ";" + simulate->cache_string();
-  if (floorplan) target += ";" + floorplan->cache_string();
-  const std::string key = job_cache_key(design, target, request.options);
+  const std::string key =
+      job_cache_key(design, spec.cache_target(), spec.request.options);
   if (std::optional<std::string> hit = store_.lookup(key)) {
     stats_.cache_hit(latency_us_since(submit_ns));
     if (!line_key.empty()) line_cache_.store(line_key, *hit);
-    deliver(ok_response(request.id, *hit));
+    deliver(ok_response(spec.request.id, *hit));
     return;
   }
   stats_.cache_miss();
 
-  auto job = std::make_shared<Job>(std::move(request), std::move(design), key,
+  auto job = std::make_shared<Job>(std::move(spec), std::move(design), key,
                                    submit_ns);
-  job->simulate = simulate;
-  job->floorplan = floorplan;
   job->line_key = std::move(line_key);
   job->deliver = std::move(deliver);
-  const std::uint64_t timeout_ms = job->request.timeout_ms != 0
-                                       ? job->request.timeout_ms
+  const std::uint64_t timeout_ms = job->spec.request.timeout_ms != 0
+                                       ? job->spec.request.timeout_ms
                                        : options_.default_timeout_ms;
   job->cancel.set_timeout_ms(static_cast<std::int64_t>(timeout_ms));
   // The queue critical section decides admission and nothing else. Stats
@@ -445,12 +416,12 @@ void Server::admit_job(PartitionRequest request,
   switch (verdict) {
     case Verdict::kDraining:
       stats_.job_rejected();
-      job->deliver(error_response(job->request.id, ErrorCode::Overloaded,
+      job->deliver(error_response(job->spec.request.id, ErrorCode::Overloaded,
                                   "server is draining"));
       return;
     case Verdict::kQueueFull:
       stats_.job_rejected();
-      job->deliver(error_response(job->request.id, ErrorCode::Overloaded,
+      job->deliver(error_response(job->spec.request.id, ErrorCode::Overloaded,
                                   "job queue is full (" +
                                       std::to_string(high_watermark()) +
                                       " waiting)"));
@@ -465,7 +436,7 @@ void Server::admit_job(PartitionRequest request,
       const std::uint64_t eta_ms =
           position * ewma_us / std::max(1u, options_.workers) / 1000;
       stats_.job_queued_notice();
-      notice(queued_response(job->request.id, position, eta_ms));
+      notice(queued_response(job->spec.request.id, position, eta_ms));
       return;
     }
     case Verdict::kAdmitted:
@@ -504,132 +475,47 @@ void Server::worker_loop() {
 
 void Server::execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch) {
   const std::int64_t exec_start_ns = monotonic_now_ns();
+  const std::string& id = job.spec.request.id;
   std::string response;
   try {
     check_cancel(&job.cancel);  // the deadline may have fired while queued
-    PartitionerOptions options = job.request.options;
-    options.search.cancel = &job.cancel;
-    options.search.pool = &pool;
-    options.search.scratch = &scratch;
+    SearchOptions& search = job.spec.request.options.search;
+    search.cancel = &job.cancel;
+    search.pool = &pool;
+    search.scratch = &scratch;
+    const JobOutcome outcome = run_job(job.spec, job.design, library_);
 
-    PartitionerResult result;
-    std::string device_name;
-    ResourceVec budget;
-    const Device* device = nullptr;  ///< placement target (floorplan stages)
-    if (!job.request.device.empty()) {
-      device = &library_.by_name(job.request.device);
-      device_name = device->name();
-      budget = device->capacity();
-      result = partition_design(job.design, budget, options);
-    } else if (job.request.budget) {
-      budget = *job.request.budget;
-      result = partition_design(job.design, budget, options);
-      // Floorplan stages need real columns: place on the first library
-      // device whose capacity covers the budget.
-      if (job.floorplan || (job.simulate && job.simulate->floorplan))
-        device = library_.smallest_fitting(budget);
-    } else {
-      DevicePartitionResult dp =
-          partition_on_smallest_device(job.design, library_, options);
-      device = dp.device;
-      device_name = dp.device->name();
-      budget = dp.device->capacity();
-      result = std::move(dp.result);
-    }
-
-    stats_.search_finished(result.stats);
-    if (!result.feasible) {
+    stats_.search_finished(outcome.result.stats);
+    if (outcome.placement)
+      stats_.floorplan_finished(outcome.placed, outcome.vetoed,
+                                outcome.rerank.overturned);
+    for (const SimulatedScheme& row : outcome.replay.rows)
+      stats_.simulation_finished(row.result.transitions,
+                                 row.result.frames_loaded);
+    if (!outcome.failure.empty()) {
       stats_.job_infeasible(latency_us_since(job.submit_ns));
-      response = error_response(
-          job.request.id, ErrorCode::Infeasible,
-          "design does not fit the target (lower bound " +
-              (job.design.largest_configuration_area() +
-               job.design.static_base())
-                  .to_string() +
-              ", budget " + budget.to_string() + ")");
+      response = error_response(id, ErrorCode::Infeasible, outcome.failure);
     } else {
-      std::string payload;
-      if (job.floorplan) {
-        require(device != nullptr,
-                "no library device covers the requested budget");
-        const FloorplanRerank rerank =
-            floorplan_rerank(job.design, result, *device, budget,
-                             job.floorplan->rerank_options(), &library_);
-        stats_.floorplan_finished(rerank.ranked.size(), rerank.vetoed_count,
-                                  rerank.overturned);
-        if (!rerank.any_feasible) {
-          stats_.job_infeasible(latency_us_since(job.submit_ns));
-          job.deliver(error_response(
-              job.request.id, ErrorCode::Infeasible,
-              "no enumerated scheme has a legal floorplan on " +
-                  device->name()));
-          return;
-        }
-        payload = floorplan_result_json(job.design, result, rerank,
-                                        device_name, budget)
-                      .dump();
-      } else if (job.simulate) {
-        const SimulateParams& params = *job.simulate;
-        SchemeEvaluation eval = result.proposed.eval;
-        if (params.floorplan) {
-          // Replay against placement-true ICAP costs: floorplan the
-          // proposed scheme and patch its frame counts before simulating.
-          require(device != nullptr,
-                  "no library device covers the requested budget");
-          const PlacedFloorplan plan = floorplan_scheme(*device, eval);
-          stats_.floorplan_finished(1, plan.feasible ? 0 : 1, false);
-          if (!plan.feasible) {
-            stats_.job_infeasible(latency_us_since(job.submit_ns));
-            job.deliver(error_response(
-                job.request.id, ErrorCode::Infeasible,
-                "the proposed scheme has no legal floorplan on " +
-                    device->name()));
-            return;
-          }
-          eval = with_placement_frames(std::move(eval), plan);
-        }
-        const SimulateSetup setup = simulate_setup(
-            job.design.configurations().size(), params);
-        sim::SimulationOptions sopt;
-        sopt.prefetch = params.prefetch;
-        sopt.predictor = &setup.env;
-        sopt.inter_arrival_ns = params.inter_arrival_ns;
-        const sim::SimulationResult sr =
-            sim::simulate_scheme(job.design, result.proposed.scheme, eval,
-                                 setup.trace, sopt);
-        stats_.simulation_finished(sr.transitions, sr.frames_loaded);
-        payload = simulate_result_json(
-                      job.design, device_name, budget, params, setup.source,
-                      setup.trace.transitions(),
-                      {SimulatedScheme{"proposed", eval.total_frames,
-                                       eval.worst_frames, sr}})
-                      .dump();
-      } else {
-        payload =
-            partition_result_json(job.design, result, device_name, budget)
-                .dump();
-      }
+      const std::string payload = job_payload(job.spec, job.design, outcome);
       // Deterministic engine: the stored bytes equal any future cold run,
       // so cache hits are byte-identical to fresh responses.
       store_.store(job.cache_key, payload);
       if (!job.line_key.empty()) line_cache_.store(job.line_key, payload);
       stats_.job_completed(latency_us_since(job.submit_ns));
-      response = ok_response(job.request.id, payload);
+      response = ok_response(id, payload);
     }
   } catch (const CancelledError&) {
     stats_.job_timed_out();
-    response = error_response(job.request.id, ErrorCode::Timeout,
-                              "job exceeded its deadline");
+    response =
+        error_response(id, ErrorCode::Timeout, "job exceeded its deadline");
   } catch (const DeviceError& e) {
-    // Auto-device mode: the design fits no library device at all.
+    // The design fits no library device (auto target), or no library
+    // device covers an explicit budget a floorplan stage must place on.
     stats_.job_infeasible(latency_us_since(job.submit_ns));
-    response = error_response(job.request.id, ErrorCode::Infeasible, e.what());
-  } catch (const Error& e) {
-    stats_.job_failed();
-    response = error_response(job.request.id, ErrorCode::Internal, e.what());
+    response = error_response(id, ErrorCode::Infeasible, e.what());
   } catch (const std::exception& e) {
     stats_.job_failed();
-    response = error_response(job.request.id, ErrorCode::Internal, e.what());
+    response = error_response(id, ErrorCode::Internal, e.what());
   }
   // Fold this execution into the ETA estimate (EWMA, alpha = 1/8).
   const std::uint64_t sample_us = latency_us_since(exec_start_ns);

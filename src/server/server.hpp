@@ -13,6 +13,7 @@
 
 #include "device/device.hpp"
 #include "server/cache.hpp"
+#include "server/job.hpp"
 #include "server/protocol.hpp"
 #include "server/reactor.hpp"
 #include "server/stats.hpp"
@@ -128,20 +129,13 @@ class Server {
   using Deliver = std::function<void(std::string&&)>;
 
   struct Job {
-    Job(PartitionRequest req, Design parsed, std::string key,
-        std::int64_t submitted)
-        : request(std::move(req)),
+    Job(JobSpec job, Design parsed, std::string key, std::int64_t submitted)
+        : spec(std::move(job)),
           design(std::move(parsed)),
           cache_key(std::move(key)),
           submit_ns(submitted) {}
 
-    PartitionRequest request;
-    /// Set for `simulate` jobs: after the partition, replay this workload
-    /// against the proposed scheme and answer with the simulate payload.
-    std::optional<SimulateParams> simulate;
-    /// Set for `floorplan` jobs: after the partition, floorplan the top-K
-    /// enumerated schemes and answer with the re-ranked payload.
-    std::optional<FloorplanParams> floorplan;
+    JobSpec spec;
     Design design;
     std::string cache_key;
     /// Request-line cache key (id blanked); empty when the line was not
@@ -184,15 +178,14 @@ class Server {
                       Deliver deliver, Deliver notice);
   std::string handle_analyze(const AnalyzeRequest& request);
   /// Shared admission path of partition, simulate and floorplan jobs:
-  /// pre-checks, result-store lookup, queue admission. Calls `deliver`
+  /// check_job, result-store lookup, queue admission. Calls `deliver`
   /// exactly once (inline for pre-check errors, store hits and rejections;
   /// from a worker otherwise) and `notice` at most once, after the queue
   /// lock is released, when the job landed in the soft band.
-  void admit_job(PartitionRequest request,
-                 std::optional<SimulateParams> simulate,
-                 std::optional<FloorplanParams> floorplan,
-                 std::string line_key, Deliver deliver, Deliver notice);
-  /// Runs one job on this worker's persistent pool + scratch.
+  void admit_job(JobSpec spec, std::string line_key, Deliver deliver,
+                 Deliver notice);
+  /// Runs one job through run_job on this worker's persistent pool +
+  /// scratch, then folds it into the stats, encodes and stores it.
   void execute_job(Job& job, WorkerPool& pool, EvalScratch& scratch);
   std::string stats_response(const std::string& id) const;
   std::string metrics_response(const Request& request) const;

@@ -303,6 +303,27 @@ TEST_F(CliTest, PartitionRejectsBadBudgetSyntax) {
   EXPECT_EQ(r.code, 1);
 }
 
+TEST_F(CliTest, BudgetComponentBeyond32BitsIsAUsageError) {
+  // Every --budget component gets the protocol's range check instead of
+  // wrapping: 4294967296 used to become a 0-CLB budget.
+  for (const std::string command :
+       {"partition", "floorplan", "simulate", "bitstreams", "analyze",
+        "optimal", "submit"}) {
+    const CliRun r =
+        invoke({command, design_path_, "--budget", "4294967296,64,150"});
+    EXPECT_EQ(r.code, 1) << command;
+    EXPECT_NE(r.err.find("budget component out of range"), std::string::npos)
+        << command << ": " << r.err;
+  }
+}
+
+TEST_F(CliTest, PartitionRejectsConflictingTargets) {
+  const CliRun r = invoke({"partition", design_path_, "--device", "XC5VFX70T",
+                           "--budget", "6800,64,150"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("mutually exclusive"), std::string::npos);
+}
+
 TEST_F(CliTest, PartitionMissingFileFails) {
   const CliRun r = invoke({"partition", "/nonexistent.xml"});
   EXPECT_EQ(r.code, 1);

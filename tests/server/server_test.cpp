@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -16,6 +17,8 @@
 #include "cli/cli.hpp"
 #include "design/io_xml.hpp"
 #include "server/client.hpp"
+#include "server/hash.hpp"
+#include "server/job.hpp"
 #include "synth/ip_library.hpp"
 
 namespace prpart::server {
@@ -119,35 +122,6 @@ TEST(ServerTest, StopIsIdempotent) {
   server.start();
   server.stop();
   server.stop();  // second drain is a no-op; destructor adds a third
-}
-
-TEST(ServerTest, ResponseMatchesOneShotCliByteForByte) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::temp_directory_path() /
-                       ("prpart_server_test_" + std::to_string(::getpid()) +
-                        "_" + info->name());
-  fs::create_directories(dir);
-  const std::string design_path = (dir / "receiver.xml").string();
-  {
-    std::ofstream f(design_path);
-    f << design_to_xml(synth::wireless_receiver_design());
-  }
-  std::ostringstream cli_out, cli_err;
-  const int code = cli::run({"partition", design_path, "--budget",
-                             "6800,64,150", "--evals", std::to_string(kEvals),
-                             "--json"},
-                            cli_out, cli_err);
-  ASSERT_EQ(code, 0) << cli_err.str();
-  std::string expected = cli_out.str();
-  ASSERT_FALSE(expected.empty());
-  expected.pop_back();  // trailing newline
-
-  Server server(quiet_options());
-  server.start();
-  const std::string line = raw_exchange(
-      server.port(), partition_request_json(receiver_request("cli-twin")));
-  EXPECT_EQ(result_payload(line, "cli-twin"), expected);
-  fs::remove_all(dir);
 }
 
 TEST(ServerTest, AnalyzeRequestIsServedInline) {
@@ -512,37 +486,6 @@ TEST(ServerTest, SimulateJobReturnsLatencies) {
   EXPECT_EQ(sim.at("frames_loaded").as_u64(), row.at("frames_loaded").as_u64());
 }
 
-TEST(ServerTest, SimulateResponseMatchesOneShotCliByteForByte) {
-  // The CLI's `simulate --json` and the server's simulate payload share one
-  // encoder and one trace construction; the bytes must agree exactly.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::temp_directory_path() /
-                       ("prpart_server_test_" + std::to_string(::getpid()) +
-                        "_" + info->name());
-  fs::create_directories(dir);
-  const std::string design_path = (dir / "receiver.xml").string();
-  {
-    std::ofstream f(design_path);
-    f << design_to_xml(synth::wireless_receiver_design());
-  }
-  std::ostringstream cli_out, cli_err;
-  const int code = cli::run({"simulate", design_path, "--budget",
-                             "6800,64,150", "--evals", std::to_string(kEvals),
-                             "--steps", "200", "--seed", "3", "--json"},
-                            cli_out, cli_err);
-  ASSERT_EQ(code, 0) << cli_err.str();
-  std::string expected = cli_out.str();
-  ASSERT_FALSE(expected.empty());
-  expected.pop_back();  // trailing newline
-
-  Server server(quiet_options());
-  server.start();
-  const std::string line = raw_exchange(
-      server.port(), simulate_request_json(simulate_request("sim-twin")));
-  EXPECT_EQ(result_payload(line, "sim-twin"), expected);
-  fs::remove_all(dir);
-}
-
 TEST(ServerTest, SimulateCacheHitIsByteIdentical) {
   Server server(quiet_options());
   server.start();
@@ -613,37 +556,6 @@ TEST(ServerTest, FloorplanJobReturnsRankingAndWinner) {
   EXPECT_EQ(fp.at("vetoes").as_u64(), resp.result.at("vetoed").as_u64());
 }
 
-TEST(ServerTest, FloorplanResponseMatchesOneShotCliByteForByte) {
-  // `prpart floorplan --json` and the server's floorplan payload share one
-  // encoder and one re-rank pass; the bytes must agree exactly.
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  const fs::path dir = fs::temp_directory_path() /
-                       ("prpart_server_test_" + std::to_string(::getpid()) +
-                        "_" + info->name());
-  fs::create_directories(dir);
-  const std::string design_path = (dir / "receiver.xml").string();
-  {
-    std::ofstream f(design_path);
-    f << design_to_xml(synth::wireless_receiver_design());
-  }
-  std::ostringstream cli_out, cli_err;
-  const int code = cli::run({"floorplan", design_path, "--budget",
-                             "6800,64,150", "--evals", std::to_string(kEvals),
-                             "--json"},
-                            cli_out, cli_err);
-  ASSERT_EQ(code, 0) << cli_err.str();
-  std::string expected = cli_out.str();
-  ASSERT_FALSE(expected.empty());
-  expected.pop_back();  // trailing newline
-
-  Server server(quiet_options());
-  server.start();
-  const std::string line = raw_exchange(
-      server.port(), floorplan_request_json(floorplan_request("fp-twin")));
-  EXPECT_EQ(result_payload(line, "fp-twin"), expected);
-  fs::remove_all(dir);
-}
-
 TEST(ServerTest, FloorplanCacheHitIsByteIdentical) {
   Server server(quiet_options());
   server.start();
@@ -690,6 +602,182 @@ TEST(ServerTest, SimulateWithFloorplanReplaysPlacementTrueFrames) {
   EXPECT_EQ(stats.floorplans, 1u);
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, 2u);
+}
+
+/// The wireless-receiver design in a per-test temporary directory, removed
+/// on scope exit, for tests that drive the one-shot CLI next to a server.
+class ReceiverFile {
+ public:
+  ReceiverFile() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("prpart_server_test_" + std::to_string(::getpid()) + "_" +
+            info->name());
+    fs::create_directories(dir_);
+    path_ = (dir_ / "receiver.xml").string();
+    std::ofstream f(path_);
+    f << design_to_xml(synth::wireless_receiver_design());
+  }
+  ~ReceiverFile() { fs::remove_all(dir_); }
+  ReceiverFile(const ReceiverFile&) = delete;
+  ReceiverFile& operator=(const ReceiverFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  fs::path dir_;
+  std::string path_;
+};
+
+/// Runs `prpart <kind>` against every kind of target next to a server:
+/// the CLI and the server run one engine and one encoder, so the `--json`
+/// payload equals the served one byte for byte, and a job the CLI fails
+/// (exit 2) is answered `infeasible` with the message the CLI prints.
+void expect_job_matches_one_shot_cli(const std::string& kind) {
+  const ReceiverFile file;
+  Server server(quiet_options());
+  server.start();
+
+  struct Target {
+    std::vector<std::string> flags;
+    std::string device;
+    std::optional<ResourceVec> budget;
+  };
+  const std::vector<Target> targets = {
+      {{"--budget", "6800,64,150"}, "", ResourceVec{6800, 64, 150}},
+      // The proposal here is the single-region fallback.
+      {{"--device", "XC5VFX70T"}, "XC5VFX70T", std::nullopt},
+      // The ladder lands on XC5VSX70T, where every floorplan is vetoed.
+      {{}, "", std::nullopt},
+  };
+  int case_index = 0;
+  for (const Target& target : targets) {
+    SCOPED_TRACE(kind + " " +
+                 (target.flags.empty() ? "auto" : target.flags.front()));
+    std::vector<std::string> args = {kind, file.path(), "--evals",
+                                     std::to_string(kEvals), "--json"};
+    args.insert(args.end(), target.flags.begin(), target.flags.end());
+    if (kind == "simulate")
+      args.insert(args.end(), {"--steps", "200", "--seed", "3"});
+    std::ostringstream cli_out, cli_err;
+    const int code = cli::run(args, cli_out, cli_err);
+
+    const std::string id = "twin-" + std::to_string(case_index++);
+    PartitionRequest req = receiver_request(id);
+    req.device = target.device;
+    req.budget = target.budget;
+    json::Value request;
+    if (kind == "partition") {
+      request = partition_request_json(req);
+    } else if (kind == "floorplan") {
+      request = floorplan_request_json(FloorplanRequest{req, {}});
+    } else {
+      SimulateRequest sim{req, {}};
+      sim.params.steps = 200;
+      sim.params.seed = 3;
+      request = simulate_request_json(sim);
+    }
+    const std::string line = raw_exchange(server.port(), request);
+    if (code == 0) {
+      std::string expected = cli_out.str();
+      ASSERT_FALSE(expected.empty());
+      expected.pop_back();  // trailing newline
+      EXPECT_EQ(result_payload(line, id), expected);
+      continue;
+    }
+    ASSERT_EQ(code, 2) << cli_err.str();
+    args.erase(std::find(args.begin(), args.end(), "--json"));
+    std::ostringstream text_out, text_err;
+    ASSERT_EQ(cli::run(args, text_out, text_err), 2);
+    std::string message = text_err.str();
+    message.pop_back();  // trailing newline
+    EXPECT_EQ(line, error_response(id, ErrorCode::Infeasible, message));
+  }
+}
+
+TEST(ServerTest, ResponseMatchesOneShotCliByteForByte) {
+  expect_job_matches_one_shot_cli("partition");
+}
+
+TEST(ServerTest, FloorplanResponseMatchesOneShotCliByteForByte) {
+  expect_job_matches_one_shot_cli("floorplan");
+}
+
+TEST(ServerTest, SimulateResponseMatchesOneShotCliByteForByte) {
+  expect_job_matches_one_shot_cli("simulate");
+}
+
+TEST(ServerTest, SubmitSendsTheJobThePartitionCommandRuns) {
+  // `prpart submit` and `prpart partition` parse their flags through one
+  // job parser: on identical flags the request line submit sends is the
+  // encoding of the JobSpec partition runs, down to the cache key.
+  const ReceiverFile file;
+  const std::vector<std::vector<std::string>> flag_sets = {
+      {},
+      {"--budget", "6800,64,150", "--evals", "1234"},
+      {"--device", "XC5VSX70T", "--candidate-sets", "7", "--threads", "2"},
+  };
+  for (const std::vector<std::string>& flags : flag_sets) {
+    SCOPED_TRACE(flags.empty() ? "auto" : flags.front());
+    TcpListener listener = TcpListener::bind(0);
+    std::vector<std::string> submit = {"submit", file.path(), "--json",
+                                       "--port",
+                                       std::to_string(listener.port())};
+    submit.insert(submit.end(), flags.begin(), flags.end());
+    std::thread cli_thread([&submit] {
+      std::ostringstream out, err;
+      cli::run(submit, out, err);
+    });
+    std::optional<TcpStream> conn = listener.accept(10'000);
+    ASSERT_TRUE(conn.has_value());
+    const std::optional<std::string> line = conn->read_line();
+    conn->write_all("{\"id\":\"cli\",\"ok\":true,\"result\":{}}\n");
+    cli_thread.join();
+    ASSERT_TRUE(line.has_value());
+
+    std::vector<std::string> partition = {"partition", file.path()};
+    partition.insert(partition.end(), flags.begin(), flags.end());
+    const JobSpec spec = cli::job_spec(partition);
+    EXPECT_EQ(*line, partition_request_json(spec.request).dump());
+    const JobSpec sent{parse_request(*line).partition, {}, {}};
+    const Design design = design_from_xml(spec.request.design_xml);
+    EXPECT_EQ(job_cache_key(design, sent.cache_target(), sent.request.options),
+              job_cache_key(design, spec.cache_target(), spec.request.options));
+  }
+}
+
+TEST(ServerTest, FloorplanBudgetBeyondEveryDeviceIsInfeasible) {
+  // The budget passes the lower bound and the search, but no library device
+  // covers it, so the placement stage has no device to place on: the
+  // client's target is infeasible, not an internal error.
+  Server server(quiet_options());
+  server.start();
+  Client client("127.0.0.1", server.port());
+  FloorplanRequest req = floorplan_request("fp-huge");
+  req.partition.budget = ResourceVec{40000, 600, 600};
+  const ClientResponse resp = client.floorplan(req);
+  ASSERT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, "infeasible");
+  EXPECT_EQ(resp.error_message, "no library device covers the budget");
+  const StatsSnapshot stats = server.stats_snapshot();
+  EXPECT_EQ(stats.infeasible, 1u);
+  EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(ServerTest, PlacementTrueSimulateBudgetBeyondEveryDeviceIsInfeasible) {
+  Server server(quiet_options());
+  server.start();
+  Client client("127.0.0.1", server.port());
+  SimulateRequest req = simulate_request("sim-huge");
+  req.partition.budget = ResourceVec{40000, 600, 600};
+  req.params.floorplan = true;
+  const ClientResponse resp = client.simulate(req);
+  ASSERT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, "infeasible");
+  EXPECT_EQ(resp.error_message, "no library device covers the budget");
+  const StatsSnapshot stats = server.stats_snapshot();
+  EXPECT_EQ(stats.infeasible, 1u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 TEST(ServerTest, PipelinedRequestsAnswerOutOfOrderById) {

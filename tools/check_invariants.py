@@ -4,7 +4,7 @@
 Usage:
     check_invariants.py [--repo PATH]
 
-Three families of drift this linter makes impossible to land silently:
+Four families of drift this linter makes impossible to land silently:
 
   1. Diagnostics: every diagnostic code constructed in src/analysis,
      src/sim or src/floorplan must be catalogued in docs/diagnostics.md
@@ -16,6 +16,8 @@ Three families of drift this linter makes impossible to land silently:
      baselines must be covered by tools/check_bench.py -- drift-checked,
      held to a hard floor, or explicitly declared informational. Stale
      registry entries (declared but absent from the baseline) also fail.
+  4. Request fields: every field parse_request accepts -- the `known[]`
+     lists in src/server/protocol.cpp -- must appear in docs/protocol.md.
 
 Exit status: 0 clean, 1 on any violation, 2 on usage/IO errors.
 """
@@ -41,6 +43,11 @@ STATS_SOURCES = ("src/server/stats.cpp", "src/server/protocol.cpp")
 SET_KEY = re.compile(r'\.set\("([a-z][a-z0-9_]*)"')
 # Presentation-only envelope keys of protocol.cpp that are not counters;
 # still required to be documented, so no exemption list is needed.
+
+REQUEST_SOURCE = "src/server/protocol.cpp"
+# A request type's accepted-field list: `static const char* known[] = {...};`
+KNOWN_FIELDS = re.compile(r'known\[\]\s*=\s*\{(.*?)\};', re.S)
+FIELD = re.compile(r'"([a-z][a-z0-9_]*)"')
 
 
 def find_diagnostic_codes(repo):
@@ -94,6 +101,27 @@ def check_stats_docs(repo, failures):
                         f"stats: wire key \"{key}\" ({rel}:{lineno}) is not "
                         "documented in docs/protocol.md -- every counter "
                         "the protocol emits must be described there")
+
+
+def check_request_fields_docs(repo, failures):
+    source = (repo / REQUEST_SOURCE).read_text()
+    lists = KNOWN_FIELDS.findall(source)
+    if not lists:
+        failures.append(
+            f"requests: no `known[]` field lists found in {REQUEST_SOURCE} "
+            "-- the extraction pattern in tools/check_invariants.py no "
+            "longer matches the code; update KNOWN_FIELDS rather than "
+            "letting the check rot")
+        return
+    protocol_md = (repo / "docs/protocol.md").read_text()
+    fields = sorted({f for body in lists for f in FIELD.findall(body)})
+    for field in fields:
+        if f"`{field}`" not in protocol_md:
+            failures.append(
+                f"requests: field \"{field}\" (accepted by parse_request in "
+                f"{REQUEST_SOURCE}) is not documented in docs/protocol.md -- "
+                "every request field a client may send must be described "
+                "there")
 
 
 def load_check_bench(repo):
@@ -165,6 +193,7 @@ def main():
     failures = []
     check_diagnostics(repo, failures)
     check_stats_docs(repo, failures)
+    check_request_fields_docs(repo, failures)
     check_bench_coverage(repo, failures)
 
     if failures:
@@ -172,8 +201,8 @@ def main():
         for line in failures:
             print(f"  {line}")
         return 1
-    print("check_invariants: diagnostics, stats docs and bench gating "
-          "are consistent")
+    print("check_invariants: diagnostics, stats docs, request fields and "
+          "bench gating are consistent")
     return 0
 
 
