@@ -209,11 +209,16 @@ AnalysisResult analyze_design(const Design& design,
   // Oversized modes. Against an explicit target, a used oversized mode is
   // a hard error (it makes the lower bound fail too); otherwise modes that
   // exceed the largest library device are warned about, as the old linter
-  // did.
-  const ResourceVec largest_device =
-      options.library.devices().empty()
-          ? ResourceVec{~0u, ~0u, ~0u}
-          : options.library.devices().back().capacity();
+  // did. "Largest" is the per-resource maximum over the library, not its
+  // last entry: a library mixing families (extended()) has no single part
+  // that dominates every resource, and anything beyond the maximum fits no
+  // library device at all.
+  ResourceVec largest_device{~0u, ~0u, ~0u};
+  if (!options.library.devices().empty()) {
+    largest_device = ResourceVec{};
+    for (const Device& d : options.library.devices())
+      largest_device = elementwise_max(largest_device, d.capacity());
+  }
   for (std::size_t g = 0; g < design.mode_count(); ++g) {
     const ModeRef ref = design.mode_ref(g);
     const std::string& module_name = modules[ref.module].name;

@@ -37,7 +37,8 @@ struct InfeasibilityProof {
   /// base: the least fabric any scheme occupies.
   ResourceVec lower_bound;
   /// What the bound was compared against: a device name, "budget", or
-  /// "library" (no device in the whole family fits).
+  /// "the largest library device" (the per-resource maximum over the
+  /// library, so no library device fits).
   std::string target;
   ResourceVec capacity;
   /// Witness: the binding resource (largest shortfall) and its numbers.

@@ -212,11 +212,13 @@ int cmd_devices(std::ostream& out) {
   return 0;
 }
 
-/// Builds analyzer options from --device/--budget. An unknown device or a
+/// Builds analyzer options from --device/--budget against the library every
+/// other command (and the server's `analyze`) uses. An unknown device or a
 /// conflicting pair is a usage error (exit 1), reported before any
 /// analysis runs.
 analysis::AnalysisOptions analysis_options_from(const Args& args) {
   analysis::AnalysisOptions opt;
+  opt.library = DeviceLibrary::extended();
   target_from_args(args, opt.device, opt.budget);
   if (!opt.device.empty())
     opt.library.by_name(opt.device);  // throws DeviceError when unknown

@@ -57,7 +57,7 @@ class BoundHint {
     if (entries.empty()) return;
     const MutexLock lock(mutex_);
     for (const Kept& e : entries)
-      insert_kept(kept_, Kept{e.ttotal, e.warea, e.key, {}}, keep_);
+      offer_kept(kept_, e.ttotal, e.warea, e.key, keep_);
     if (kept_.size() >= keep_)
       worst_.store(kept_.back().ttotal, std::memory_order_relaxed);
   }
@@ -65,60 +65,109 @@ class BoundHint {
  private:
   const std::size_t keep_;
   Mutex mutex_{lock_order::Level::kSearchBoundHint, "search.bound_hint"};
-  std::vector<Kept> kept_ PRPART_GUARDED_BY(mutex_);  ///< schemes omitted;
-                                                      ///< only order matters
+  std::vector<Kept> kept_ PRPART_GUARDED_BY(mutex_);
   std::atomic<std::uint64_t> worst_{~std::uint64_t{0}};
 };
 
-/// Runs the units of one candidate set on one worker. The set's state is
-/// copied once; each unit's moves are applied in place and unwound through
-/// the undo records afterwards, and merge costs are re-used across the
-/// set's restarts through a version-stamped move table (the restarts share
-/// the initial state, so step-one move scores differ only around the forced
-/// first move). Entirely thread-confined apart from the shared read-only
-/// inputs and the internally synchronised cost cache.
+/// Merge-cost memo entry, valid while both groups' version stamps match
+/// (stamps change only when a merge rewrites group `a`; undo restores them,
+/// so entries survive across the restarts of a set). Only compatible merges
+/// are entered — the compatibility rows filter the rest before the table is
+/// consulted.
+struct MergeEntry {
+  std::uint64_t va = 0, vb = 0;  ///< 0 never matches a live version
+  GroupCost cost;
+};
+
+/// Everything a search worker would otherwise rebuild per candidate set,
+/// kept warm across every set, restart and phase-1b bound its thread runs,
+/// and across searches on a persistent pool thread (DESIGN.md §4e). After
+/// warm-up a restart touches the allocator only when a state enters its
+/// leaderboard. Holds no reference into any search: every use starts by
+/// loading a state, so a search that unwinds (cancellation) leaves nothing
+/// behind that a later one could read.
+struct Workspace {
+  State s;                              ///< moves are applied in place
+  std::vector<UndoRecord> undo_stack;   ///< pooled records, one per depth
+  std::vector<std::uint64_t> versions;  ///< per-group move-table stamps
+  /// Last stamp issued. Never reset: stamps are unique over the
+  /// workspace's lifetime, so entries an earlier set or search left in the
+  /// table never match and a reloaded table behaves exactly like a fresh
+  /// one.
+  std::uint64_t version_counter = 0;
+  bool table_on = false;                ///< move table + compat rows in use
+  std::vector<MergeEntry> table;        ///< n x n when table_on
+  std::size_t words = 0;                ///< words per bit row, ceil(n / 64)
+  std::vector<std::uint64_t> compat;    ///< n rows: bit j = disjoint occs
+  std::vector<std::uint64_t> row_undo;  ///< saved compat rows, per depth
+  std::vector<std::size_t> alive_list;  ///< sorted indices of alive groups
+  std::vector<std::uint64_t> alive_mask;  ///< same set, one bit row
+  GroupCostCache::Key cache_key;        ///< merged member set of a probe
+  KeyScratch key;                       ///< record()'s canonical key
+  std::vector<PromoteItem> bound_items; ///< the bound's knapsack buffer
+
+  /// Copies `initial` in, reusing the groups' member and occupancy
+  /// buffers, and grows the undo pool to one record per possible move.
+  void load(const State& initial) {
+    s = initial;
+    if (undo_stack.size() < s.groups.size())
+      undo_stack.resize(s.groups.size());
+  }
+};
+
+/// The calling thread's workspace. Units run to completion on one thread
+/// and never nest, so one per thread suffices.
+Workspace& thread_workspace() {
+  thread_local Workspace workspace;
+  return workspace;
+}
+
+/// Runs the units of one candidate set on the calling thread's workspace.
+/// The set's state is loaded once; each unit's moves are applied in place
+/// and unwound through the undo records afterwards, and merge costs are
+/// re-used across the set's restarts through a version-stamped move table
+/// (the restarts share the initial state, so step-one move scores differ
+/// only around the forced first move). Entirely thread-confined apart from
+/// the shared read-only inputs and the internally synchronised cost cache.
 class ChunkRunner {
  public:
   ChunkRunner(const Design& design, const ResourceVec& budget,
               const SearchOptions& options, GroupCostCache* cache,
               const State& initial)
       : design_(design), budget_(budget), options_(options), cache_(cache),
-        s_(initial) {
+        ws_(thread_workspace()), s_(ws_.s) {
+    ws_.load(initial);
     const std::size_t n = s_.groups.size();
-    versions_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) versions_[i] = i + 1;
-    version_counter_ = n;
-    alive_list_.reserve(n);
-    alive_mask_ = DynBitset(n);
+    ws_.versions.resize(n);
+    for (std::uint64_t& v : ws_.versions) v = ++ws_.version_counter;
+    ws_.words = (n + 63) / 64;
+    ws_.alive_list.clear();
+    ws_.alive_mask.assign(ws_.words, 0);
     for (std::size_t i = 0; i < n; ++i)
       if (s_.groups[i].alive) {
-        alive_list_.push_back(i);
-        alive_mask_.set(i);
+        ws_.alive_list.push_back(i);
+        set_bit(ws_.alive_mask.data(), i);
       }
-    // Undo storage is pooled up front (each move retires one group, so a
-    // unit applies at most n): run_unit's apply/undo cycles then reuse the
-    // records' member buffers instead of allocating per move.
-    undo_stack_.resize(n);
     // The table is quadratic in the candidate-set size; past a few hundred
     // groups its footprint outweighs the rescoring win, so fall back to
     // fresh evaluation (results are identical either way).
-    if (options_.use_move_table && n <= kMaxTableGroups) {
-      table_.resize(n * n);
-      // Pairwise-compatibility rows: bit j of compat_[i] says the groups'
+    ws_.table_on = options_.use_move_table && n <= kMaxTableGroups;
+    if (ws_.table_on) {
+      ws_.table.resize(n * n);
+      // Pairwise-compatibility rows: bit j of row i says the groups'
       // occupancies are disjoint, so the greedy scan can reject an
       // incompatible pair on one bit test instead of a table probe. Kept
       // symmetric, and maintained under apply()/unwind() like the stamps.
-      compat_.assign(n, DynBitset(n));
+      ws_.compat.assign(n * ws_.words, 0);
       for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
           if (s_.groups[i].occ.intersects(s_.groups[j].occ)) continue;
-          compat_[i].set(j);
-          compat_[j].set(i);
+          set_bit(compat_row(i), j);
+          set_bit(compat_row(j), i);
         }
       }
-      // One saved row per possible merge depth; same-size assignments into
-      // the pool reuse the rows' word storage.
-      row_undo_.assign(n, DynBitset(n));
+      // One saved row per possible merge depth.
+      ws_.row_undo.resize(n * ws_.words);
     }
   }
 
@@ -136,17 +185,20 @@ class ChunkRunner {
   }
 
  private:
-  /// Merge-cost memo entry, valid while both groups' version stamps match
-  /// (stamps change only when a merge rewrites group `a`; undo restores
-  /// them, so entries survive across the restarts of the set). Only
-  /// compatible merges are entered — the compat_ rows filter the rest
-  /// before the table is consulted.
-  struct MergeEntry {
-    std::uint64_t va = 0, vb = 0;  ///< 0 never matches a live version
-    GroupCost cost;
-  };
-
   static constexpr std::size_t kMaxTableGroups = 128;
+
+  static void set_bit(std::uint64_t* row, std::size_t k) {
+    row[k / 64] |= std::uint64_t{1} << (k % 64);
+  }
+  static void reset_bit(std::uint64_t* row, std::size_t k) {
+    row[k / 64] &= ~(std::uint64_t{1} << (k % 64));
+  }
+  static bool test_bit(const std::uint64_t* row, std::size_t k) {
+    return (row[k / 64] >> (k % 64)) & 1u;
+  }
+  std::uint64_t* compat_row(std::size_t i) {
+    return ws_.compat.data() + i * ws_.words;
+  }
 
   Objective objective(std::uint64_t excess, std::uint64_t ttotal,
                       std::uint64_t warea) const {
@@ -164,46 +216,39 @@ class ChunkRunner {
   /// merged member set when the cache is enabled.
   GroupCost merged_cost(const Group& ga, const Group& gb) {
     if (!cache_) return merged_group_cost(ga, gb, options_.pair_weights);
-    key_buffer_.resize(ga.members.size() + gb.members.size());
+    GroupCostCache::Key& key = ws_.cache_key;
+    key.resize(ga.members.size() + gb.members.size());
     std::merge(ga.members.begin(), ga.members.end(), gb.members.begin(),
-               gb.members.end(), key_buffer_.begin());
-    const std::size_t hash = cache_->hash_of(key_buffer_);
-    if (const std::optional<GroupCost> hit = cache_->lookup(key_buffer_, hash))
+               gb.members.end(), key.begin());
+    const std::size_t hash = cache_->hash_of(key);
+    if (const std::optional<GroupCost> hit = cache_->lookup(key, hash))
       return *hit;
     const GroupCost cost = merged_group_cost(ga, gb, options_.pair_weights);
-    cache_->store(key_buffer_, cost, hash);
+    cache_->store(key, cost, hash);
     return cost;
   }
 
-  /// Counts one move evaluation — the deterministic budget unit. Both the
-  /// fresh and the rescored path pay it, so truncation points (and with
-  /// them every result) are independent of the move table.
+  /// Counts one move evaluation — the deterministic budget unit — on the
+  /// capping step, where evaluations are charged one at a time so the step
+  /// stops on exactly the evaluation that reaches the cap.
   void count_evaluation() {
     ++out_.evals;
     if (out_.evals >= out_.cap) out_.truncated = true;
-    // Cancellation point, gated so the clock read costs nothing on the hot
-    // path. 512 evaluations bound the cancel latency to microseconds.
-    if ((out_.evals & 511u) == 0) check_cancel(options_.cancel);
   }
 
   /// Counts `k` budget units at once for moves rejected without side
-  /// effects (the incompatible pairs the word scan skips wholesale).
-  /// Reproduces counting them one by one exactly: the counter stops at the
-  /// first increment that reaches the cap, and a cancellation check fires
-  /// whenever a 512-evaluation boundary is crossed. Returns true when the
-  /// unit truncated.
+  /// effects (the incompatible pairs the capping step's word scan skips
+  /// wholesale). Reproduces counting them one by one exactly: the counter
+  /// stops at the first increment that reaches the cap. Returns true when
+  /// the unit truncated.
   bool count_skipped(std::uint64_t k) {
-    if (k == 0) return out_.truncated;
-    const std::uint64_t before = out_.evals;
-    const std::uint64_t need =
-        out_.cap > before ? out_.cap - before : std::uint64_t{1};
+    const std::uint64_t need = out_.cap - out_.evals;
     if (k >= need) {
-      out_.evals = before + need;
+      out_.evals = out_.cap;
       out_.truncated = true;
       return true;
     }
-    out_.evals = before + k;
-    if ((out_.evals >> 9) != (before >> 9)) check_cancel(options_.cancel);
+    out_.evals += k;
     return false;
   }
 
@@ -226,7 +271,7 @@ class ChunkRunner {
   }
 
   /// Scan-invariant aggregates of the left-hand group `i`, hoisted out of
-  /// the inner partner loop of greedy's table path: the objective of merging
+  /// the inner partner loop of the table scan: the objective of merging
   /// (i, j) only needs these scalars of `ga` plus `gb`'s own fields, so the
   /// per-partner work shrinks to one table probe and a handful of adds.
   /// Unsigned +/- reassociate exactly, so the scores are bit-identical to
@@ -235,8 +280,8 @@ class ChunkRunner {
     ResourceVec res_base;       ///< scan_base_ - ga footprint
     std::uint64_t tt_base = 0;  ///< s_.ttotal - ga.contrib
     std::uint64_t tw_same = 0;  ///< ga.tw_same
-    std::uint64_t version = 0;  ///< versions_[i]
-    MergeEntry* row = nullptr;  ///< &table_[i * n]
+    std::uint64_t version = 0;  ///< versions[i]
+    MergeEntry* row = nullptr;  ///< &table[i * n]
   };
 
   RowCtx row_ctx(std::size_t i) {
@@ -249,23 +294,22 @@ class ChunkRunner {
     ctx.res_base.dsps -= ga_res.dsps;
     ctx.tt_base = s_.ttotal - ga.contrib;
     ctx.tw_same = ga.tw_same;
-    ctx.version = versions_[i];
-    ctx.row = &table_[i * s_.groups.size()];
+    ctx.version = ws_.versions[i];
+    ctx.row = &ws_.table[i * s_.groups.size()];
     return ctx;
   }
 
-  /// evaluate_merge specialised for the table path with the row context
-  /// hoisted; compatibility was already established by the word scan.
+  /// Objective of merging compatible groups i and j on the table path,
+  /// served from the move table when both version stamps still match.
   Objective evaluate_merge_row(const RowCtx& ctx, std::size_t i,
                                std::size_t j) {
-    count_evaluation();
     const Group& gb = s_.groups[j];
     MergeEntry& entry = ctx.row[j];
-    if (entry.va != ctx.version || entry.vb != versions_[j]) {
+    if (entry.va != ctx.version || entry.vb != ws_.versions[j]) {
       ++out_.full_evaluations;
       entry.cost = merged_cost(s_.groups[i], gb);
       entry.va = ctx.version;
-      entry.vb = versions_[j];
+      entry.vb = ws_.versions[j];
     } else {
       ++out_.moves_rescored;
     }
@@ -282,38 +326,10 @@ class ChunkRunner {
                      weighted_area(total));
   }
 
-  /// Metrics of the state merging groups i and j would produce, nullopt for
-  /// incompatible pairs. Counts one move evaluation; serves the score from
-  /// the move table when both version stamps still match. With the table
-  /// (and its compat_ rows) enabled, the caller has already rejected
-  /// incompatible pairs, so only the table-less path re-checks occupancy.
-  std::optional<Objective> evaluate_merge(std::size_t i, std::size_t j) {
-    count_evaluation();
-    const Group& ga = s_.groups[i];
-    const Group& gb = s_.groups[j];
-    if (table_.empty()) {
-      if (ga.occ.intersects(gb.occ)) return std::nullopt;
-      ++out_.full_evaluations;
-      return merge_objective(ga, gb, merged_cost(ga, gb));
-    }
-    MergeEntry& entry = table_[i * s_.groups.size() + j];
-    if (entry.va == versions_[i] && entry.vb == versions_[j]) {
-      ++out_.moves_rescored;
-      return merge_objective(ga, gb, entry.cost);
-    }
-    ++out_.full_evaluations;
-    const GroupCost cost = merged_cost(ga, gb);
-    entry.va = versions_[i];
-    entry.vb = versions_[j];
-    entry.cost = cost;
-    return merge_objective(ga, gb, cost);
-  }
-
   /// Metrics of promoting group i into the static region: the whole
   /// group's mode set becomes permanently present. Already O(1) from the
   /// group's incremental fields — no table needed.
   Objective evaluate_promote(std::size_t i) {
-    count_evaluation();
     const Group& ga = s_.groups[i];
     ResourceVec total = scan_base_ + ga.promote_area;
     total.clbs -= ga.tiles.resources().clbs;
@@ -326,14 +342,28 @@ class ChunkRunner {
 
   /// Removes / reinserts an index of the sorted alive list (and mask).
   void alive_erase(std::size_t g) {
-    alive_list_.erase(
-        std::lower_bound(alive_list_.begin(), alive_list_.end(), g));
-    alive_mask_.reset(g);
+    ws_.alive_list.erase(
+        std::lower_bound(ws_.alive_list.begin(), ws_.alive_list.end(), g));
+    reset_bit(ws_.alive_mask.data(), g);
   }
   void alive_insert(std::size_t g) {
-    alive_list_.insert(
-        std::lower_bound(alive_list_.begin(), alive_list_.end(), g), g);
-    alive_mask_.set(g);
+    ws_.alive_list.insert(
+        std::lower_bound(ws_.alive_list.begin(), ws_.alive_list.end(), g),
+        g);
+    set_bit(ws_.alive_mask.data(), g);
+  }
+
+  /// Mirrors row `a` of the compatibility rows into column `a`, keeping
+  /// the rows symmetric after row `a` changed.
+  void mirror_compat_column(std::size_t a) {
+    const std::uint64_t* row_a = compat_row(a);
+    for (std::size_t k = 0; k < s_.groups.size(); ++k) {
+      if (k == a) continue;
+      if (test_bit(row_a, k))
+        set_bit(compat_row(k), a);
+      else
+        reset_bit(compat_row(k), a);
+    }
   }
 
   void apply(const Move& move) {
@@ -343,33 +373,32 @@ class ChunkRunner {
       // its entry is almost always still valid — reuse it instead of going
       // back through the shared cost cache (hash + probe + lock).
       const MergeEntry* entry =
-          table_.empty() ? nullptr
-                         : &table_[move.a * s_.groups.size() + move.b];
-      if (entry != nullptr && entry->va == versions_[move.a] &&
-          entry->vb == versions_[move.b])
+          ws_.table_on ? &ws_.table[move.a * s_.groups.size() + move.b]
+                       : nullptr;
+      if (entry != nullptr && entry->va == ws_.versions[move.a] &&
+          entry->vb == ws_.versions[move.b])
         cost = entry->cost;
       else
         cost = merged_cost(s_.groups[move.a], s_.groups[move.b]);
     }
-    UndoRecord& undo = undo_stack_[undo_depth_++];
+    UndoRecord& undo = ws_.undo_stack[undo_depth_++];
     apply_move_into(s_, move, &cost, undo);
-    undo.prior_version = versions_[move.a];
+    undo.prior_version = ws_.versions[move.a];
     alive_erase(move.kind == Move::Kind::Merge ? move.b : move.a);
     if (move.kind == Move::Kind::Merge) {
-      versions_[move.a] = ++version_counter_;
-      if (!compat_.empty()) {
+      ws_.versions[move.a] = ++ws_.version_counter;
+      if (ws_.table_on) {
         // Group a absorbed b's occupancy: a is now compatible with exactly
         // the groups both were compatible with. Row first, then mirror the
         // column so the rows stay symmetric.
-        row_undo_[undo_depth_ - 1] = compat_[move.a];
-        compat_[move.a] &= compat_[move.b];
-        for (std::size_t k = 0; k < compat_.size(); ++k) {
-          if (k == move.a) continue;
-          if (compat_[move.a].test(k))
-            compat_[k].set(move.a);
-          else
-            compat_[k].reset(move.a);
+        std::uint64_t* row_a = compat_row(move.a);
+        const std::uint64_t* row_b = compat_row(move.b);
+        std::uint64_t* saved = &ws_.row_undo[(undo_depth_ - 1) * ws_.words];
+        for (std::size_t w = 0; w < ws_.words; ++w) {
+          saved[w] = row_a[w];
+          row_a[w] &= row_b[w];
         }
+        mirror_compat_column(move.a);
       }
     }
   }
@@ -379,25 +408,22 @@ class ChunkRunner {
   /// revalidating table entries for the next restart).
   void unwind() {
     while (undo_depth_ > 0) {
-      UndoRecord& undo = undo_stack_[--undo_depth_];
-      versions_[undo.move.a] = undo.prior_version;
+      UndoRecord& undo = ws_.undo_stack[--undo_depth_];
+      ws_.versions[undo.move.a] = undo.prior_version;
       alive_insert(undo.move.kind == Move::Kind::Merge ? undo.move.b
                                                        : undo.move.a);
-      if (undo.move.kind == Move::Kind::Merge && !compat_.empty()) {
-        compat_[undo.move.a] = row_undo_[undo_depth_];
-        for (std::size_t k = 0; k < compat_.size(); ++k) {
-          if (k == undo.move.a) continue;
-          if (compat_[undo.move.a].test(k))
-            compat_[k].set(undo.move.a);
-          else
-            compat_[k].reset(undo.move.a);
-        }
+      if (undo.move.kind == Move::Kind::Merge && ws_.table_on) {
+        std::copy_n(&ws_.row_undo[undo_depth_ * ws_.words], ws_.words,
+                    compat_row(undo.move.a));
+        mirror_compat_column(undo.move.a);
       }
       undo_move(s_, undo);
     }
   }
 
-  /// Records the state when it fits and enters the unit's leaderboard.
+  /// Records the state when it fits and enters the unit's leaderboard. The
+  /// canonical key is written into the workspace; only an entry that
+  /// enters the board copies it.
   void record() {
     const ResourceVec total = s_.total_res(design_.static_base());
     if (!total.fits_in(budget_)) return;
@@ -408,104 +434,41 @@ class ChunkRunner {
     if (out_.kept.size() >= keep) {
       const Kept& worst = out_.kept.back();
       // Strictly worse than the current worst: cannot enter. Objective ties
-      // fall through to the canonical-key comparison in insert_kept.
+      // fall through to the canonical-key comparison in offer_kept.
       if (s_.ttotal > worst.ttotal ||
           (s_.ttotal == worst.ttotal && warea > worst.warea))
         return;
     }
-    Kept entry;
-    entry.ttotal = s_.ttotal;
-    entry.warea = warea;
-    entry.scheme = canonical_scheme(s_);
-    entry.key = scheme_key(entry.scheme);
-    insert_kept(out_.kept, std::move(entry), keep);
+    offer_kept(out_.kept, s_.ttotal, warea, canonical_key(s_, ws_.key),
+               keep);
   }
 
   /// Greedy descent: repeatedly apply the objective-minimising move while it
-  /// strictly improves; records every visited state. Evaluation order is
-  /// the canonical (i, j)-merges-then-promote enumeration of moves_of().
+  /// strictly improves; records every visited state.
+  ///
+  /// Each step considers C(a, 2) merges plus a promotes (a = alive groups,
+  /// no promotes when promotion is off), and every consideration costs one
+  /// move evaluation of the budget, compatible or not. A step that stays
+  /// below the cap is therefore charged in one add and scans only what it
+  /// scores; the one step that reaches the cap is charged evaluation by
+  /// evaluation instead, so it stops on exactly the same move — and leaves
+  /// the same move-table and cost-cache entries behind — as a per-move
+  /// count would.
   void greedy() {
     ++out_.greedy_runs;
     record();
     while (s_.alive > 0 && !out_.truncated) {
       check_cancel(options_.cancel);
+      const std::uint64_t a = s_.alive;
+      const std::uint64_t considered =
+          a * (a - 1) / 2 + (options_.allow_static_promotion ? a : 0);
       std::optional<Move> best_move;
-      scan_base_ = s_.pr_res + design_.static_base() + s_.static_extra;
-      Objective best_obj = state_objective();
-      if (!compat_.empty()) {
-        // Table path: scan the words of (compat row & alive mask) so only
-        // compatible alive partners are visited bit by bit; the alive-but-
-        // incompatible partners in between are charged to the budget in
-        // bulk (they have no side effects), preserving the exact per-pair
-        // truncation points of the scalar walk. The enumeration stays the
-        // canonical ascending (i, j) order.
-        for (std::size_t ii = 0; ii < alive_list_.size(); ++ii) {
-          const std::size_t i = alive_list_[ii];
-          const DynBitset& row = compat_[i];
-          const RowCtx ctx = row_ctx(i);
-          const std::size_t start = i + 1;
-          for (std::size_t w = start / 64; w < alive_mask_.word_count(); ++w) {
-            const std::uint64_t range =
-                w == start / 64 ? ~std::uint64_t{0} << (start % 64)
-                                : ~std::uint64_t{0};
-            const std::uint64_t alive_w = alive_mask_.word(w) & range;
-            std::uint64_t comp_w = alive_w & row.word(w);
-            const std::uint64_t incomp_w = alive_w & ~row.word(w);
-            std::uint64_t skipped_before = 0;
-            while (comp_w != 0) {
-              const int b = std::countr_zero(comp_w);
-              comp_w &= comp_w - 1;
-              const std::uint64_t below =
-                  b == 0 ? 0 : incomp_w & ((std::uint64_t{1} << b) - 1);
-              const std::uint64_t k =
-                  static_cast<std::uint64_t>(std::popcount(below)) -
-                  skipped_before;
-              skipped_before += k;
-              if (count_skipped(k)) return;
-              const std::size_t j = w * 64 + static_cast<std::size_t>(b);
-              const Objective obj = evaluate_merge_row(ctx, i, j);
-              if (out_.truncated) return;
-              if (obj < best_obj) {
-                best_obj = obj;
-                best_move = Move{Move::Kind::Merge, i, j};
-              }
-            }
-            const std::uint64_t tail =
-                static_cast<std::uint64_t>(std::popcount(incomp_w)) -
-                skipped_before;
-            if (count_skipped(tail)) return;
-          }
-          if (options_.allow_static_promotion) {
-            const Objective obj = evaluate_promote(i);
-            if (out_.truncated) return;
-            if (obj < best_obj) {
-              best_obj = obj;
-              best_move = Move{Move::Kind::Promote, i, 0};
-            }
-          }
-        }
+      if (considered < out_.cap - out_.evals) {
+        out_.evals += considered;
+        best_move = scan<false>();
       } else {
-        const std::size_t n = s_.groups.size();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!s_.groups[i].alive) continue;
-          for (std::size_t j = i + 1; j < n; ++j) {
-            if (!s_.groups[j].alive) continue;
-            const std::optional<Objective> obj = evaluate_merge(i, j);
-            if (out_.truncated) return;
-            if (obj && *obj < best_obj) {
-              best_obj = *obj;
-              best_move = Move{Move::Kind::Merge, i, j};
-            }
-          }
-          if (options_.allow_static_promotion) {
-            const Objective obj = evaluate_promote(i);
-            if (out_.truncated) return;
-            if (obj < best_obj) {
-              best_obj = obj;
-              best_move = Move{Move::Kind::Promote, i, 0};
-            }
-          }
-        }
+        best_move = scan<true>();
+        if (out_.truncated) return;
       }
       if (!best_move) return;  // local optimum
       apply(*best_move);
@@ -513,20 +476,110 @@ class ChunkRunner {
     }
   }
 
+  /// One step's move scan in the canonical (i, j)-merges-then-promote
+  /// enumeration of moves_of(); returns the best strictly improving move.
+  /// kCapping charges every considered move as it goes and returns nullopt
+  /// as soon as the unit truncates.
+  template <bool kCapping>
+  std::optional<Move> scan() {
+    scan_base_ = s_.pr_res + design_.static_base() + s_.static_extra;
+    Objective best_obj = state_objective();
+    std::optional<Move> best_move;
+    const auto consider = [&](const Objective& obj, const Move& move) {
+      if (obj < best_obj) {
+        best_obj = obj;
+        best_move = move;
+      }
+    };
+    if (ws_.table_on) {
+      // Table path: scan the words of (compat row & alive mask) so only
+      // compatible alive partners are visited. On the capping step the
+      // alive-but-incompatible partners in between are charged in bulk
+      // (they have no side effects), preserving the exact per-pair
+      // truncation point.
+      for (const std::size_t i : ws_.alive_list) {
+        const std::uint64_t* row = compat_row(i);
+        const RowCtx ctx = row_ctx(i);
+        const std::size_t start = i + 1;
+        for (std::size_t w = start / 64; w < ws_.words; ++w) {
+          const std::uint64_t range = w == start / 64
+                                          ? ~std::uint64_t{0} << (start % 64)
+                                          : ~std::uint64_t{0};
+          const std::uint64_t alive_w = ws_.alive_mask[w] & range;
+          std::uint64_t comp_w = alive_w & row[w];
+          [[maybe_unused]] const std::uint64_t incomp_w = alive_w & ~row[w];
+          [[maybe_unused]] std::uint64_t skipped_before = 0;
+          while (comp_w != 0) {
+            const int b = std::countr_zero(comp_w);
+            comp_w &= comp_w - 1;
+            if constexpr (kCapping) {
+              const std::uint64_t below =
+                  b == 0 ? 0 : incomp_w & ((std::uint64_t{1} << b) - 1);
+              const std::uint64_t k =
+                  static_cast<std::uint64_t>(std::popcount(below)) -
+                  skipped_before;
+              skipped_before += k;
+              if (count_skipped(k)) return std::nullopt;
+              count_evaluation();
+            }
+            const std::size_t j = w * 64 + static_cast<std::size_t>(b);
+            const Objective obj = evaluate_merge_row(ctx, i, j);
+            if (kCapping && out_.truncated) return std::nullopt;
+            consider(obj, Move{Move::Kind::Merge, i, j});
+          }
+          if constexpr (kCapping) {
+            const std::uint64_t tail =
+                static_cast<std::uint64_t>(std::popcount(incomp_w)) -
+                skipped_before;
+            if (count_skipped(tail)) return std::nullopt;
+          }
+        }
+        if (options_.allow_static_promotion) {
+          if constexpr (kCapping) count_evaluation();
+          const Objective obj = evaluate_promote(i);
+          if (kCapping && out_.truncated) return std::nullopt;
+          consider(obj, Move{Move::Kind::Promote, i, 0});
+        }
+      }
+      return best_move;
+    }
+    // Table-less path (table off, or more groups than it allows): every
+    // compatible pair is scored afresh. Cancellation is polled once per row
+    // so a step over a large candidate set still answers promptly.
+    const std::size_t alive = ws_.alive_list.size();
+    for (std::size_t ii = 0; ii < alive; ++ii) {
+      check_cancel(options_.cancel);
+      const std::size_t i = ws_.alive_list[ii];
+      const Group& ga = s_.groups[i];
+      for (std::size_t jj = ii + 1; jj < alive; ++jj) {
+        const std::size_t j = ws_.alive_list[jj];
+        const Group& gb = s_.groups[j];
+        if constexpr (kCapping) count_evaluation();
+        if (!ga.occ.intersects(gb.occ)) {
+          ++out_.full_evaluations;
+          const Objective obj = merge_objective(ga, gb, merged_cost(ga, gb));
+          if (kCapping && out_.truncated) return std::nullopt;
+          consider(obj, Move{Move::Kind::Merge, i, j});
+        } else if (kCapping && out_.truncated) {
+          return std::nullopt;
+        }
+      }
+      if (options_.allow_static_promotion) {
+        if constexpr (kCapping) count_evaluation();
+        const Objective obj = evaluate_promote(i);
+        if (kCapping && out_.truncated) return std::nullopt;
+        consider(obj, Move{Move::Kind::Promote, i, 0});
+      }
+    }
+    return best_move;
+  }
+
   const Design& design_;
   const ResourceVec budget_;
   const SearchOptions& options_;
   GroupCostCache* cache_;
-  GroupCostCache::Key key_buffer_;
-  State s_;
-  std::vector<std::uint64_t> versions_;
-  std::uint64_t version_counter_ = 0;
-  std::vector<MergeEntry> table_;   ///< empty when the move table is off
-  std::vector<DynBitset> compat_;   ///< pairwise compatibility, empty with table_
-  std::vector<DynBitset> row_undo_; ///< saved compat_ rows, pooled per depth
-  std::vector<std::size_t> alive_list_;  ///< sorted indices of alive groups
-  DynBitset alive_mask_;            ///< same set, as a word-scannable mask
-  std::vector<UndoRecord> undo_stack_;   ///< pooled records, undo_depth_ used
+  Workspace& ws_;
+  State& s_;                 ///< ws_.s
   std::size_t undo_depth_ = 0;
   ResourceVec scan_base_;  ///< pr_res + static base + extra, per greedy scan
   UnitOutcome out_;
@@ -597,14 +650,16 @@ class Searcher {
     if (options_.use_bounding) {
       unit_lb.assign(units.size(), 0);
       parallel_for(options_.pool, initials.size(), threads, [&](std::size_t k) {
-        State s = initials[k];  // scratch copy, restored by undo below
+        Workspace& ws = thread_workspace();
+        ws.load(initials[k]);  // scratch copy, restored by undo below
+        State& s = ws.s;
         for (std::size_t i = set_units[k].first; i < set_units[k].second;
              ++i) {
           check_cancel(options_.cancel);
           if (!units[i].first) {
             unit_lb[i] = completion_lower_bound(
                 s, design_.static_base(), budget_,
-                options_.allow_static_promotion);
+                options_.allow_static_promotion, ws.bound_items);
             continue;
           }
           const Move& m = *units[i].first;
@@ -612,17 +667,19 @@ class Searcher {
           if (m.kind == Move::Kind::Merge)
             cost = merged_group_cost(s.groups[m.a], s.groups[m.b],
                                      options_.pair_weights);
-          UndoRecord undo = apply_move(s, m, &cost);
-          unit_lb[i] = completion_lower_bound(s, design_.static_base(),
-                                              budget_,
-                                              options_.allow_static_promotion);
+          UndoRecord& undo = ws.undo_stack.front();
+          apply_move_into(s, m, &cost, undo);
+          unit_lb[i] = completion_lower_bound(
+              s, design_.static_base(), budget_,
+              options_.allow_static_promotion, ws.bound_items);
           undo_move(s, undo);
         }
       });
     }
 
     // Phase 2 — run the units, one candidate set per task so the set's
-    // restarts share a chunk runner (state copy, undo stack, move table).
+    // restarts share a chunk runner (state copy, undo stack, move table,
+    // all held in the worker thread's workspace).
     // Each unit speculates twice: with the evaluation budget left according
     // to a relaxed global counter, and with the shared bound hint deciding
     // whether it is worth running at all. The merge below corrects any unit
@@ -707,8 +764,8 @@ class Searcher {
         stats_.bound_lb_sum += unit_lb[i];
         stats_.bound_best_sum += out.kept.front().ttotal;
       }
-      for (Kept& entry : out.kept)
-        insert_kept(kept, std::move(entry), keep);
+      for (const Kept& entry : out.kept)
+        offer_kept(kept, entry.ttotal, entry.warea, entry.key, keep);
     }
     stats_.candidate_sets = any_unit ? last_set + 1 : 0;
     for (const UnitOutcome& out : outcomes)
@@ -741,7 +798,13 @@ class Searcher {
           scratch.stats.kernel_evaluations;
       const std::uint64_t scratch_collapsed_before =
           scratch.stats.signature_collapsed_configs;
-      std::vector<std::uint64_t> wcost;
+      // Schemes are decoded from the final entries' keys only.
+      std::vector<PartitionScheme> schemes;
+      schemes.reserve(kept.size());
+      for (const Kept& k : kept) schemes.push_back(scheme_from_key(k.key));
+      std::vector<std::size_t> rank(kept.size());
+      for (std::size_t i = 0; i < rank.size(); ++i) rank[i] = i;
+      std::vector<std::uint64_t> wcost(kept.size(), 0);
       if (options_.workload_cost != nullptr) {
         // Workload re-ranking: certify every kept alternative in one kernel
         // batch, then stable-sort by the caller's cost, ascending. The
@@ -750,32 +813,19 @@ class Searcher {
         // Eq. 10 + canonical-key order on cost ties, so the re-ranked
         // result is as deterministic as the unranked one.
         std::vector<const PartitionScheme*> frontier;
-        frontier.reserve(kept.size());
-        for (const Kept& k : kept) frontier.push_back(&k.scheme);
+        frontier.reserve(schemes.size());
+        for (const PartitionScheme& scheme : schemes)
+          frontier.push_back(&scheme);
         std::vector<SchemeEvaluation> evals;
         context->evaluate_batch_into(frontier, budget_, scratch, evals);
-        wcost.reserve(kept.size());
-        for (std::size_t i = 0; i < kept.size(); ++i)
-          wcost.push_back(
-              options_.workload_cost->cost(kept[i].scheme, evals[i]));
-        std::vector<std::size_t> rank(kept.size());
-        for (std::size_t i = 0; i < rank.size(); ++i) rank[i] = i;
+        for (std::size_t i = 0; i < schemes.size(); ++i)
+          wcost[i] = options_.workload_cost->cost(schemes[i], evals[i]);
         std::stable_sort(rank.begin(), rank.end(),
                          [&](std::size_t a, std::size_t b) {
                            return wcost[a] < wcost[b];
                          });
-        std::vector<Kept> ranked;
-        std::vector<std::uint64_t> ranked_cost;
-        ranked.reserve(kept.size());
-        ranked_cost.reserve(kept.size());
-        for (const std::size_t i : rank) {
-          ranked.push_back(std::move(kept[i]));
-          ranked_cost.push_back(wcost[i]);
-        }
-        kept = std::move(ranked);
-        wcost = std::move(ranked_cost);
       }
-      result.scheme = kept.front().scheme;
+      result.scheme = schemes[rank.front()];
       result.scheme.label = "proposed";
       result.eval = context->evaluate(result.scheme, budget_, scratch);
       // Fold the kernel work of *this call* (the scratch may be a warm
@@ -789,10 +839,9 @@ class Searcher {
                                      result.eval.invalid_reason);
       require(result.eval.fits, "search recorded a non-fitting scheme");
       result.alternatives.reserve(kept.size());
-      for (std::size_t i = 0; i < kept.size(); ++i)
-        result.alternatives.push_back(
-            RankedScheme{std::move(kept[i].scheme), kept[i].ttotal,
-                         wcost.empty() ? 0 : wcost[i]});
+      for (const std::size_t i : rank)
+        result.alternatives.push_back(RankedScheme{
+            std::move(schemes[i]), kept[i].ttotal, wcost[i]});
       result.alternatives.front().scheme.label = "proposed";
     }
     return result;

@@ -51,7 +51,10 @@ struct SearchOptions {
   /// greedy assignment from every distinct initial pairing).
   std::size_t max_first_moves = 100000;
   /// Deterministic global work budget: total move evaluations across all
-  /// candidate sets and restarts. The search stops cleanly when exhausted.
+  /// candidate sets and restarts, where a greedy step over `a` alive groups
+  /// considers C(a, 2) merges (compatible or not) plus `a` promotions (none
+  /// with promotion off) and is charged for each. The search stops cleanly,
+  /// on the exact evaluation that reaches the budget, when exhausted.
   std::uint64_t max_move_evaluations = 1'000'000;
   /// Allow promoting base partitions into the static region (the paper's
   /// key lever: "moving modes into the static region when possible").
@@ -123,11 +126,13 @@ struct SearchOptions {
   /// pruning, budget) is unaffected — only the final ranking changes.
   const WorkloadCost* workload_cost = nullptr;
   /// Cooperative cancellation (nullable; must outlive the search). Workers
-  /// poll it at unit boundaries and every few hundred move evaluations;
-  /// when it fires the search unwinds with CancelledError instead of
-  /// returning a partial result, so a cancelled run can never be mistaken
-  /// for a completed one. The serving layer arms it with per-job deadlines
-  /// and on graceful shutdown.
+  /// poll it at unit boundaries and at least once per greedy step (a step
+  /// on the move table scans at most 128 groups), and once per scanned row
+  /// on the table-less path, so latency stays bounded for candidate sets
+  /// over 128 groups. When it fires the search unwinds with CancelledError
+  /// instead of returning a partial result, so a cancelled run can never be
+  /// mistaken for a completed one. The serving layer arms it with per-job
+  /// deadlines and on graceful shutdown.
   const CancelToken* cancel = nullptr;
 };
 

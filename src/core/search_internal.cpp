@@ -203,18 +203,81 @@ std::vector<std::uint64_t> scheme_key(const PartitionScheme& scheme) {
   return key;
 }
 
-bool kept_before(const Kept& a, const Kept& b) {
-  if (a.ttotal != b.ttotal) return a.ttotal < b.ttotal;
-  if (a.warea != b.warea) return a.warea < b.warea;
-  return a.key < b.key;
+const std::vector<std::uint64_t>& canonical_key(const State& s,
+                                                KeyScratch& scratch) {
+  scratch.order.clear();
+  for (std::size_t g = 0; g < s.groups.size(); ++g)
+    if (s.groups[g].alive) scratch.order.push_back(g);
+  // Member lists are sorted and pairwise disjoint, so ordering the regions
+  // by their member lists is canonical_scheme's region order.
+  std::sort(scratch.order.begin(), scratch.order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return s.groups[a].members < s.groups[b].members;
+            });
+  scratch.statics.assign(s.static_members.begin(), s.static_members.end());
+  std::sort(scratch.statics.begin(), scratch.statics.end());
+  std::vector<std::uint64_t>& key = scratch.key;
+  key.clear();
+  key.push_back(scratch.order.size());
+  for (const std::size_t g : scratch.order) {
+    const std::vector<std::size_t>& members = s.groups[g].members;
+    key.push_back(members.size());
+    key.insert(key.end(), members.begin(), members.end());
+  }
+  key.push_back(scratch.statics.size());
+  key.insert(key.end(), scratch.statics.begin(), scratch.statics.end());
+  return key;
 }
 
-void insert_kept(std::vector<Kept>& kept, Kept entry, std::size_t keep) {
-  const auto pos =
-      std::lower_bound(kept.begin(), kept.end(), entry, kept_before);
-  if (pos != kept.end() && pos->key == entry.key) return;
-  kept.insert(pos, std::move(entry));
-  if (kept.size() > keep) kept.pop_back();
+PartitionScheme scheme_from_key(const std::vector<std::uint64_t>& key) {
+  PartitionScheme scheme;
+  std::size_t at = 0;
+  const auto take = [&](std::vector<std::size_t>& out) {
+    const auto size = static_cast<std::ptrdiff_t>(key[at++]);
+    const auto begin = key.begin() + static_cast<std::ptrdiff_t>(at);
+    out.assign(begin, begin + size);
+    at += static_cast<std::size_t>(size);
+  };
+  scheme.regions.resize(key[at++]);
+  for (Region& region : scheme.regions) take(region.members);
+  take(scheme.static_members);
+  return scheme;
+}
+
+namespace {
+
+/// The leaderboard order: objective first, canonical key last. The entry
+/// being offered is given by its fields, so offer_kept can place it before
+/// it owns a copy of the key.
+bool precedes(const Kept& a, std::uint64_t ttotal, std::uint64_t warea,
+              const std::vector<std::uint64_t>& key) {
+  if (a.ttotal != ttotal) return a.ttotal < ttotal;
+  if (a.warea != warea) return a.warea < warea;
+  return a.key < key;
+}
+
+}  // namespace
+
+void offer_kept(std::vector<Kept>& kept, std::uint64_t ttotal,
+                std::uint64_t warea, const std::vector<std::uint64_t>& key,
+                std::size_t keep) {
+  const auto at =
+      std::partition_point(kept.begin(), kept.end(), [&](const Kept& e) {
+        return precedes(e, ttotal, warea, key);
+      });
+  if (at != kept.end() && at->key == key) return;
+  const auto pos = static_cast<std::size_t>(at - kept.begin());
+  if (pos >= keep) return;  // would be trimmed straight away
+  Kept entry;
+  if (kept.size() >= keep) {
+    entry = std::move(kept.back());
+    kept.pop_back();
+  }
+  entry.ttotal = ttotal;
+  entry.warea = warea;
+  entry.key.assign(key.begin(), key.end());
+  kept.insert(kept.begin() + static_cast<std::ptrdiff_t>(pos),
+              std::move(entry));
 }
 
 namespace {
@@ -246,14 +309,6 @@ int frac_cmp(std::uint64_t a, std::uint64_t b, std::uint64_t c,
   }
 }
 
-/// Knapsack item: promoting the group at `slot` frees `value` weighted
-/// frames of Eq. 10 contribution at a static-area price of `price`.
-struct PromoteItem {
-  std::uint64_t value = 0;
-  std::uint64_t price = 0;
-  std::size_t slot = 0;
-};
-
 /// One scalarisation of the element-wise area constraint. A fitting
 /// completion satisfies every projection's scalar inequality, so each
 /// projection yields an independently admissible bound and the final bound
@@ -279,7 +334,8 @@ std::uint64_t project(const Projection& p, const ResourceVec& r) {
 std::uint64_t projected_lower_bound(const State& s, const Projection& proj,
                                     const ResourceVec& static_area,
                                     const ResourceVec& budget,
-                                    bool allow_static_promotion) {
+                                    bool allow_static_promotion,
+                                    std::vector<PromoteItem>& items) {
   const std::uint64_t pbudget = project(proj, budget);
   const std::uint64_t pstatic = project(proj, static_area);
   // Any fitting total covers the static area element-wise, so a projected
@@ -312,8 +368,7 @@ std::uint64_t projected_lower_bound(const State& s, const Projection& proj,
 
   std::uint64_t capacity = cap0 - minfoot;
   std::uint64_t removable = 0;  // groups promotable at zero area price
-  std::vector<PromoteItem> items;
-  items.reserve(s.groups.size());
+  items.clear();
   for (std::size_t i = 0; i < s.groups.size(); ++i) {
     const Group& g = s.groups[i];
     if (!g.alive || g.contrib == 0) continue;
@@ -367,12 +422,13 @@ std::uint64_t projected_lower_bound(const State& s, const Projection& proj,
 std::uint64_t completion_lower_bound(const State& s,
                                      const ResourceVec& static_base,
                                      const ResourceVec& budget,
-                                     bool allow_static_promotion) {
+                                     bool allow_static_promotion,
+                                     std::vector<PromoteItem>& items) {
   const ResourceVec static_area = static_base + s.static_extra;
   std::uint64_t lb = 0;
   for (const Projection& proj : kProjections) {
-    const std::uint64_t b = projected_lower_bound(s, proj, static_area, budget,
-                                                  allow_static_promotion);
+    const std::uint64_t b = projected_lower_bound(
+        s, proj, static_area, budget, allow_static_promotion, items);
     if (b == kNoFittingCompletion) return kNoFittingCompletion;
     lb = std::max(lb, b);
   }

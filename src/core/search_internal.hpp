@@ -175,7 +175,8 @@ void undo_move(State& s, UndoRecord& undo);
 /// region, regions sorted lexicographically, static members sorted. Equal
 /// groupings render identically, so schemes can be deduplicated and ordered
 /// independently of the order in which threads discovered them — and the
-/// result_io serialisation of the returned scheme is reproducible.
+/// result_io serialisation of the returned scheme is reproducible. The
+/// reference for canonical_key/scheme_from_key, which the search uses.
 PartitionScheme canonical_scheme(const State& s);
 
 /// Injective flat encoding of a canonical scheme (sizes delimit the member
@@ -184,26 +185,55 @@ PartitionScheme canonical_scheme(const State& s);
 /// criterion — no hash collisions can alias two distinct groupings.
 std::vector<std::uint64_t> scheme_key(const PartitionScheme& scheme);
 
+/// Reusable buffers of canonical_key: after warm-up, encoding a state
+/// touches no allocator.
+struct KeyScratch {
+  std::vector<std::size_t> order;    ///< alive groups, in canonical order
+  std::vector<std::size_t> statics;  ///< sorted static members
+  std::vector<std::uint64_t> key;
+};
+
+/// scheme_key(canonical_scheme(s)), written straight from the state into
+/// `scratch.key` (and returned) without building the scheme. Relies on the
+/// Group::members sortedness invariant.
+const std::vector<std::uint64_t>& canonical_key(const State& s,
+                                                KeyScratch& scratch);
+
+/// Inverse of scheme_key: the canonical scheme a key encodes (empty label).
+PartitionScheme scheme_from_key(const std::vector<std::uint64_t>& key);
+
+/// A leaderboard entry: the objective and the canonical key. Schemes are
+/// decoded from the keys of the final entries only.
 struct Kept {
   std::uint64_t ttotal = 0;
   std::uint64_t warea = 0;
   std::vector<std::uint64_t> key;
-  PartitionScheme scheme;
 };
 
-/// Total order on recorded schemes: objective first, canonical key last.
-bool kept_before(const Kept& a, const Kept& b);
-
-/// Inserts `entry` into the sorted leaderboard, dropping exact duplicates
-/// and trimming to `keep` entries. Because kept_before is a total order and
-/// duplicates compare equal, the final leaderboard is independent of the
-/// insertion order — the keystone of thread-count-independent results.
-void insert_kept(std::vector<Kept>& kept, Kept entry, std::size_t keep);
+/// Offers the entry (ttotal, warea, key) to the leaderboard `kept`, kept
+/// sorted by (ttotal, warea, key), dropping exact duplicates and trimming
+/// to `keep` entries. Because that order is total and duplicates compare
+/// equal, the final leaderboard is independent of the offer order — the
+/// keystone of thread-count-independent results. An entry that does not
+/// enter costs no allocation; one that enters a full board reuses the
+/// evicted entry's key storage.
+void offer_kept(std::vector<Kept>& kept, std::uint64_t ttotal,
+                std::uint64_t warea, const std::vector<std::uint64_t>& key,
+                std::size_t keep);
 
 /// completion_lower_bound's value when the state's static area already
 /// exceeds the weighted budget: no completion can fit, so the subtree is
 /// prunable against any leaderboard.
 constexpr std::uint64_t kNoFittingCompletion = ~std::uint64_t{0};
+
+/// Knapsack item of completion_lower_bound: promoting the group at `slot`
+/// frees `value` weighted frames of Eq. 10 contribution at a static-area
+/// price of `price`.
+struct PromoteItem {
+  std::uint64_t value = 0;
+  std::uint64_t price = 0;
+  std::size_t slot = 0;
+};
 
 /// Admissible lower bound on the weighted total reconfiguration time
 /// (Eq. 10, scaled by SearchOptions::pair_weights when present) of every
@@ -230,9 +260,13 @@ constexpr std::uint64_t kNoFittingCompletion = ~std::uint64_t{0};
 /// The bound is monotone along any decision path: applying a move to `s`
 /// never lowers it (a subtree pruned at its root stays prunable all the way
 /// down). Returns kNoFittingCompletion when provably no completion fits.
+///
+/// `items` is the caller-owned knapsack buffer (the search keeps one per
+/// worker), so repeated bounds never allocate.
 std::uint64_t completion_lower_bound(const State& s,
                                      const ResourceVec& static_base,
                                      const ResourceVec& budget,
-                                     bool allow_static_promotion);
+                                     bool allow_static_promotion,
+                                     std::vector<PromoteItem>& items);
 
 }  // namespace prpart::search_internal

@@ -135,6 +135,36 @@ TEST(AnalyzerTest, OversizedModeWarnsAgainstTheLibrary) {
   EXPECT_TRUE(has_code(result.diagnostics, "infeasible"));
 }
 
+TEST(AnalyzerTest, MixedFamilyLibraryChecksAgainstEveryPart) {
+  // The bill (19060 CLBs, 280 BRAMs) fits XC5VFX130T but not the last
+  // part of the extended library, XC7V585T (17920 CLBs, 224 BRAMs): the
+  // library-wide checks must not mistake the last entry for the largest.
+  const Design d =
+      DesignBuilder("between")
+          .module("A", {{"A1", {19000, 280, 0}}, {"A2", {100, 0, 0}}})
+          .module("B", {{"B1", {50, 0, 0}}})
+          .configuration({{"A", "A1"}, {"B", "B1"}})
+          .configuration({{"A", "A2"}, {"B", "B1"}})
+          .build();
+  AnalysisOptions options;
+  options.library = DeviceLibrary::extended();
+  const AnalysisResult result = analyze_design(d, options);
+  EXPECT_FALSE(result.proof.has_value());
+  EXPECT_FALSE(has_code(result.diagnostics, "infeasible"));
+  EXPECT_FALSE(has_code(result.diagnostics, "oversized-mode"));
+  EXPECT_FALSE(result.has_errors());
+
+  // Beyond every part the proof still fires, with no fitting witness.
+  const Design huge = DesignBuilder("huge")
+                          .module("A", {{"A1", {100000, 0, 0}}})
+                          .configuration({{"A", "A1"}})
+                          .build();
+  const AnalysisResult beyond = analyze_design(huge, options);
+  ASSERT_TRUE(beyond.proof.has_value());
+  EXPECT_TRUE(beyond.proof->smallest_fitting_device.empty());
+  EXPECT_TRUE(has_code(beyond.diagnostics, "oversized-mode"));
+}
+
 TEST(AnalyzerTest, OversizedModeIsAnErrorAgainstAnExplicitTarget) {
   const Design d = DesignBuilder("huge")
                        .module("A", {{"A1", {100000, 0, 0}}})

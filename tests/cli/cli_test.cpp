@@ -8,9 +8,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "design/builder.hpp"
 #include "design/io_xml.hpp"
+#include "server/client.hpp"
+#include "server/server.hpp"
 #include "synth/ip_library.hpp"
 #include "util/json.hpp"
+#include "util/socket.hpp"
 
 namespace prpart::cli {
 namespace {
@@ -218,6 +222,80 @@ TEST_F(CliTest, AnalyzeUnknownDeviceIsAUsageError) {
   const CliRun r = invoke({"analyze", design_path_, "--device", "XC7NOPE"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("error:"), std::string::npos);
+}
+
+TEST_F(CliTest, AnalyzeJsonMatchesServerPayloadForReferencePart) {
+  // `analyze` resolves --device against the same library as every other
+  // command and as the server: a reference part is a valid target, and the
+  // CLI's --json bytes are the server's analyze payload.
+  const std::string path = (dir_ / "gen.xml").string();
+  ASSERT_EQ(invoke({"generate", "--seed", "3", "--out", path}).code, 0);
+  std::ifstream in(path);
+  std::stringstream xml;
+  xml << in.rdbuf();
+  server::ServerOptions opt;
+  opt.port = 0;
+  server::Server srv(opt);
+  srv.start();
+  for (const std::string device : {"XC7A35T", "XC5VFX70T"}) {
+    const CliRun r = invoke({"analyze", path, "--device", device, "--json"});
+    ASSERT_NE(r.code, 1) << r.err;
+    server::AnalyzeRequest req;
+    req.id = "a";
+    req.design_xml = xml.str();
+    req.device = device;
+    TcpStream stream = TcpStream::connect("127.0.0.1", srv.port());
+    stream.write_all(server::analyze_request_json(req).dump() + "\n");
+    const std::optional<std::string> line = stream.read_line();
+    ASSERT_TRUE(line.has_value());
+    const std::string prefix = "{\"id\":\"a\",\"ok\":true,\"result\":";
+    ASSERT_EQ(line->rfind(prefix, 0), 0u) << *line;
+    EXPECT_EQ(r.out, line->substr(prefix.size(),
+                                  line->size() - prefix.size() - 1) +
+                         "\n")
+        << device;
+  }
+}
+
+TEST_F(CliTest, AnalyzeWithoutDeviceChecksAgainstEveryLibraryPart) {
+  // The bill (19060 CLBs, 280 BRAMs) fits XC5VFX130T but not XC7V585T, the
+  // last entry of the library: with no --device the design is feasible, and
+  // the CLI's bytes are still the server's analyze payload.
+  const Design d =
+      DesignBuilder("between")
+          .module("A", {{"A1", {19000, 280, 0}}, {"A2", {100, 0, 0}}})
+          .module("B", {{"B1", {50, 0, 0}}})
+          .configuration({{"A", "A1"}, {"B", "B1"}})
+          .configuration({{"A", "A2"}, {"B", "B1"}})
+          .build();
+  const std::string path = (dir_ / "between.xml").string();
+  {
+    std::ofstream f(path);
+    f << design_to_xml(d);
+  }
+  const CliRun r = invoke({"analyze", path, "--json"});
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
+  const json::Value v = json::parse(r.out);
+  EXPECT_TRUE(v.at("feasible").as_bool());
+  EXPECT_EQ(v.at("errors").as_u64(), 0u);
+  EXPECT_EQ(r.out.find("oversized-mode"), std::string::npos);
+
+  server::ServerOptions opt;
+  opt.port = 0;
+  server::Server srv(opt);
+  srv.start();
+  server::AnalyzeRequest req;
+  req.id = "a";
+  req.design_xml = design_to_xml(d);
+  TcpStream stream = TcpStream::connect("127.0.0.1", srv.port());
+  stream.write_all(server::analyze_request_json(req).dump() + "\n");
+  const std::optional<std::string> line = stream.read_line();
+  ASSERT_TRUE(line.has_value());
+  const std::string prefix = "{\"id\":\"a\",\"ok\":true,\"result\":";
+  ASSERT_EQ(line->rfind(prefix, 0), 0u) << *line;
+  EXPECT_EQ(r.out,
+            line->substr(prefix.size(), line->size() - prefix.size() - 1) +
+                "\n");
 }
 
 TEST_F(CliTest, AnalyzeRejectsTypoOption) {

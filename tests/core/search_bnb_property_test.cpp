@@ -217,7 +217,7 @@ TEST(SearchBnbProperty, CancellationThrowsInEveryMode) {
   }
   for (const bool bounding : {true, false}) {
     // Mid-search: a deadline far shorter than the case-study search's run
-    // time fires between move evaluations (polled every 512).
+    // time fires between greedy steps (polled at least once per step).
     CancelToken token;
     SearchOptions opt;
     opt.use_bounding = bounding;

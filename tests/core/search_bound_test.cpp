@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/clustering.hpp"
@@ -102,9 +105,10 @@ void check_playout(Harness& h, const ResourceVec& budget, Rng& rng,
   si::State s = h.initial(weights);
   std::vector<std::uint64_t> bounds;    // lb of every prefix state
   std::vector<std::uint64_t> fitting;   // ttotal of every fitting state
+  std::vector<si::PromoteItem> items;   // knapsack buffer, reused
   const auto visit = [&](const si::State& state) {
     const std::uint64_t lb = si::completion_lower_bound(
-        state, h.design.static_base(), budget, allow_promotion);
+        state, h.design.static_base(), budget, allow_promotion, items);
     if (!bounds.empty()) {
       EXPECT_GE(lb, bounds.back()) << "bound decreased along a move path";
     }
@@ -143,8 +147,9 @@ TEST(SearchBound, InitialStateBoundIsZero) {
   Harness h(paper_example());
   const si::State s = h.initial();
   EXPECT_EQ(s.ttotal, 0u);
+  std::vector<si::PromoteItem> items;
   EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(),
-                                       h.slack_budget(), true),
+                                       h.slack_budget(), true, items),
             0u);
 }
 
@@ -152,10 +157,11 @@ TEST(SearchBound, PromotionDisabledBoundIsTheCurrentTotal) {
   Harness h(paper_example());
   Rng rng(7);
   si::State s = h.initial();
+  std::vector<si::PromoteItem> items;
   for (int step = 0; step < 3 && !valid_moves(s, false).empty(); ++step) {
     apply_random_move(s, rng, /*allow_promotion=*/false, nullptr);
     EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(),
-                                         h.slack_budget(), false),
+                                         h.slack_budget(), false, items),
               s.ttotal);
   }
   EXPECT_GT(s.ttotal, 0u);  // the path above must have merged something
@@ -170,13 +176,16 @@ TEST(SearchBound, OversizedStaticProvesNoFittingCompletion) {
   si::UndoRecord undo =
       si::apply_move(s, si::Move{si::Move::Kind::Promote, 0, 0}, &unused);
   const ResourceVec tiny{1, 0, 0};
-  EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(), tiny, true),
-            si::kNoFittingCompletion);
+  std::vector<si::PromoteItem> items;
+  EXPECT_EQ(
+      si::completion_lower_bound(s, h.design.static_base(), tiny, true, items),
+      si::kNoFittingCompletion);
   // And it stays absorbed after further moves (monotonicity's edge case).
   Rng rng(3);
   apply_random_move(s, rng, true, nullptr);
-  EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(), tiny, true),
-            si::kNoFittingCompletion);
+  EXPECT_EQ(
+      si::completion_lower_bound(s, h.design.static_base(), tiny, true, items),
+      si::kNoFittingCompletion);
   (void)undo;
 }
 
@@ -223,6 +232,81 @@ TEST(SearchBound, SyntheticPlayoutsAdmissibleAndMonotone) {
     check_playout(h, h.slack_budget(), wrng, true, &w, &fitting);
   }
   EXPECT_GT(fitting, 0u) << "no playout visited a fitting state";
+}
+
+TEST(SearchBound, CanonicalKeyMatchesTheReferenceEncoding) {
+  // The search encodes recorded states straight into a reused key buffer
+  // and decodes schemes from the final keys only; both must agree with the
+  // reference canonical_scheme/scheme_key pair on every reachable state,
+  // and the reused bound buffer must give the allocating bound's answer.
+  std::size_t states = 0;
+  si::KeyScratch scratch;
+  std::vector<si::PromoteItem> items;
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(seed);
+    const auto cls = static_cast<CircuitClass>(seed % 4);
+    Harness h(seed == 0 ? paper_example()
+                        : generate_synthetic(rng, cls).design);
+    si::State s = h.initial();
+    for (;;) {
+      const PartitionScheme reference = si::canonical_scheme(s);
+      const std::vector<std::uint64_t>& key = si::canonical_key(s, scratch);
+      EXPECT_EQ(key, si::scheme_key(reference));
+      const PartitionScheme decoded = si::scheme_from_key(key);
+      EXPECT_EQ(decoded.label, reference.label);
+      EXPECT_EQ(decoded.static_members, reference.static_members);
+      ASSERT_EQ(decoded.regions.size(), reference.regions.size());
+      for (std::size_t r = 0; r < decoded.regions.size(); ++r)
+        EXPECT_EQ(decoded.regions[r].members, reference.regions[r].members);
+      std::vector<si::PromoteItem> fresh;
+      EXPECT_EQ(si::completion_lower_bound(s, h.design.static_base(),
+                                           h.slack_budget(), true, items),
+                si::completion_lower_bound(s, h.design.static_base(),
+                                           h.slack_budget(), true, fresh));
+      ++states;
+      if (valid_moves(s, true).empty()) break;
+      apply_random_move(s, rng, true, nullptr);
+    }
+  }
+  EXPECT_GT(states, 8u);
+}
+
+TEST(SearchBound, OfferKeptKeepsTheBestDistinctEntries) {
+  // Offers in two different orders, with duplicates and ties broken by the
+  // key, must leave the same board: the keep best entries ordered by
+  // (ttotal, warea, key), each key once.
+  const std::vector<si::Kept> offers = {
+      {5, 1, {3}}, {2, 9, {1}}, {5, 1, {2}}, {2, 9, {1}},
+      {7, 0, {0}}, {2, 8, {4}}, {5, 1, {2}}, {1, 50, {9}},
+  };
+  for (const std::size_t keep : {std::size_t{1}, std::size_t{3},
+                                 std::size_t{10}}) {
+    std::vector<si::Kept> forward, backward;
+    for (const si::Kept& e : offers)
+      si::offer_kept(forward, e.ttotal, e.warea, e.key, keep);
+    for (auto it = offers.rbegin(); it != offers.rend(); ++it)
+      si::offer_kept(backward, it->ttotal, it->warea, it->key, keep);
+    std::vector<si::Kept> expected;
+    for (const si::Kept& e : offers) {
+      bool seen = false;
+      for (const si::Kept& x : expected) seen = seen || x.key == e.key;
+      if (!seen) expected.push_back(e);
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const si::Kept& a, const si::Kept& b) {
+                return std::tie(a.ttotal, a.warea, a.key) <
+                       std::tie(b.ttotal, b.warea, b.key);
+              });
+    if (expected.size() > keep) expected.resize(keep);
+    for (const std::vector<si::Kept>* board : {&forward, &backward}) {
+      ASSERT_EQ(board->size(), expected.size()) << "keep=" << keep;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ((*board)[i].ttotal, expected[i].ttotal);
+        EXPECT_EQ((*board)[i].warea, expected[i].warea);
+        EXPECT_EQ((*board)[i].key, expected[i].key);
+      }
+    }
+  }
 }
 
 TEST(SearchBound, UndoRestoresTheStateExactly) {

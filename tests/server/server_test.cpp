@@ -15,11 +15,13 @@
 #include <vector>
 
 #include "cli/cli.hpp"
+#include "design/builder.hpp"
 #include "design/io_xml.hpp"
 #include "server/client.hpp"
 #include "server/hash.hpp"
 #include "server/job.hpp"
 #include "synth/ip_library.hpp"
+#include "util/rng.hpp"
 
 namespace prpart::server {
 namespace {
@@ -73,6 +75,44 @@ PartitionRequest receiver_request(const std::string& id,
   req.budget = ResourceVec{6800, 64, 150};
   req.options = default_partitioner_options();
   req.options.search.max_move_evaluations = evals;
+  return req;
+}
+
+/// A job that keeps a worker busy until its own deadline fires: twelve
+/// four-mode modules over eight configurations give candidate sets large
+/// enough that the unbounded-effort search runs for seconds, while the plan
+/// (clustering, covering) takes milliseconds, so the search's cancellation
+/// points answer `timeout_ms` promptly.
+PartitionRequest hold_request(const std::string& id,
+                              std::uint64_t timeout_ms) {
+  DesignBuilder builder("hold");
+  for (int m = 0; m < 12; ++m) {
+    std::vector<Mode> modes;
+    for (int k = 0; k < 4; ++k)
+      modes.push_back(Mode{
+          "m" + std::to_string(m) + "_" + std::to_string(k),
+          ResourceVec{static_cast<std::uint32_t>(50 + 37 * k + 13 * m),
+                      static_cast<std::uint32_t>(k % 3),
+                      static_cast<std::uint32_t>(m % 4)}});
+    builder.module("M" + std::to_string(m), std::move(modes));
+  }
+  Rng rng(7);
+  for (int c = 0; c < 8; ++c) {
+    std::vector<std::pair<std::string, std::string>> uses;
+    for (int m = 0; m < 12; ++m)
+      uses.emplace_back("M" + std::to_string(m),
+                        "m" + std::to_string(m) + "_" +
+                            std::to_string(rng.below(4)));
+    builder.configuration(uses);
+  }
+  PartitionRequest req;
+  req.id = id;
+  req.design_xml = design_to_xml(builder.build());
+  req.budget = ResourceVec{100000, 1000, 1000};
+  req.options = default_partitioner_options();
+  req.options.search.max_candidate_sets = 1000;
+  req.options.search.max_move_evaluations = 1'000'000'000'000;
+  req.timeout_ms = timeout_ms;
   return req;
 }
 
@@ -158,6 +198,31 @@ TEST(ServerTest, AnalyzeMalformedDesignReturnsDiagnosticsNotAnError) {
   ASSERT_TRUE(resp.ok) << resp.error_message;
   EXPECT_TRUE(resp.result.at("feasible").is_null());
   EXPECT_GE(resp.result.at("errors").as_u64(), 2u);  // no modules, no configs
+}
+
+TEST(ServerTest, AnalyzeWithoutDeviceChecksAgainstEveryLibraryPart) {
+  // The bill (19060 CLBs, 280 BRAMs) fits XC5VFX130T but not XC7V585T, the
+  // last entry of the served library: no false infeasibility proof and no
+  // false oversized-mode warning.
+  const Design d =
+      DesignBuilder("between")
+          .module("A", {{"A1", {19000, 280, 0}}, {"A2", {100, 0, 0}}})
+          .module("B", {{"B1", {50, 0, 0}}})
+          .configuration({{"A", "A1"}, {"B", "B1"}})
+          .configuration({{"A", "A2"}, {"B", "B1"}})
+          .build();
+  Server server(quiet_options());
+  server.start();
+  Client client("127.0.0.1", server.port());
+  AnalyzeRequest req;
+  req.id = "an-between";
+  req.design_xml = design_to_xml(d);
+  const ClientResponse resp = client.analyze(req);
+  ASSERT_TRUE(resp.ok) << resp.error_message;
+  EXPECT_TRUE(resp.result.at("feasible").as_bool());
+  EXPECT_EQ(resp.result.at("errors").as_u64(), 0u);
+  for (const json::Value& diag : resp.result.at("diagnostics").items())
+    EXPECT_NE(diag.at("code").as_string(), "oversized-mode");
 }
 
 TEST(ServerTest, AnalyzeUnknownDeviceIsBadRequest) {
@@ -787,9 +852,24 @@ TEST(ServerTest, PipelinedRequestsAnswerOutOfOrderById) {
   Server server(opt);
   server.start();
 
-  // One connection, three requests in a single write: a slow partition
+  // A job from a second connection occupies the single worker until its
+  // own deadline fires, so the partition request below is still waiting
+  // for the worker when the pings behind it are answered: the ordering
+  // does not depend on how fast the search runs.
+  TcpStream holder = TcpStream::connect("127.0.0.1", server.port());
+  holder.write_all(
+      partition_request_json(hold_request("hold", 1500)).dump() + "\n");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats_snapshot().in_flight == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the holding job never started";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // One connection, three requests in a single write: a partition job
   // followed by two pings. The pings are answered inline by the admission
-  // workers while the search still runs, so they overtake the job — the
+  // workers while the job is still pending, so they overtake it — the
   // client matches responses by id, not arrival order.
   TcpStream stream = TcpStream::connect("127.0.0.1", server.port());
   std::string burst =
@@ -810,6 +890,12 @@ TEST(ServerTest, PipelinedRequestsAnswerOutOfOrderById) {
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order.back(), "slow") << "search should finish after the pings";
   EXPECT_FALSE(result_payload(slow_line, "slow").empty()) << slow_line;
+
+  const std::optional<std::string> held = holder.read_line();
+  ASSERT_TRUE(held.has_value());
+  const json::Value doc = json::parse(*held);
+  EXPECT_FALSE(doc.at("ok").as_bool()) << *held;
+  EXPECT_EQ(doc.at("error").at("code").as_string(), "timeout") << *held;
 }
 
 TEST(ServerTest, BackpressureQueuedNoticeCarriesPositionAndEta) {
