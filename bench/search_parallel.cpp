@@ -1,8 +1,8 @@
-// Speedup and cache effectiveness of the parallel region-allocation search
-// over the Fig. 7 synthetic design set. For every thread count the same
-// designs run through search_partitioning; the bench reports wall-clock,
-// speedup versus threads=1, the cost-cache hit rate, and — the contract the
-// speedup is not allowed to buy — whether every scheme is byte-identical
+// Speedup of the parallel region-allocation search over the Fig. 7
+// synthetic design set. For every thread count the same designs run through
+// search_partitioning; the bench reports wall-clock, speedup versus
+// threads=1, and — the contract the speedup is not allowed to buy —
+// whether every scheme is byte-identical
 // (result_io serialisation) to the threads=1 reference. Exits non-zero on
 // any mismatch.
 //
@@ -85,8 +85,6 @@ struct PreparedDesign {
 
 struct RunOutcome {
   double seconds = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t move_evaluations = 0;
   std::uint64_t full_evaluations = 0;
   std::uint64_t moves_rescored = 0;
@@ -117,8 +115,6 @@ RunOutcome run_all(std::vector<PreparedDesign>& designs, unsigned threads,
     const SearchResult r = search_partitioning(p.design, p.matrix,
                                                p.partitions, p.compat,
                                                p.budget, opt);
-    out.cache_hits += r.stats.cache_hits;
-    out.cache_misses += r.stats.cache_misses;
     out.move_evaluations += r.stats.move_evaluations;
     out.full_evaluations += r.stats.full_evaluations;
     out.moves_rescored += r.stats.moves_rescored;
@@ -164,25 +160,20 @@ int main_impl() {
   std::printf("parallel search over the Fig. 7 design set (%zu designs, "
               "seed 2013)\n\n",
               designs.size());
-  std::printf("%8s %10s %9s %10s %10s\n", "threads", "seconds", "speedup",
-              "hit-rate", "identical");
+  std::printf("%8s %10s %9s %10s\n", "threads", "seconds", "speedup",
+              "identical");
 
   const RunOutcome reference = run_all(designs, 1, true, true);
   bool all_identical = true;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     const RunOutcome r =
         threads == 1 ? reference : run_all(designs, threads, true, true);
-    const std::uint64_t probes = r.cache_hits + r.cache_misses;
-    const double hit_rate =
-        probes == 0 ? 0.0
-                    : static_cast<double>(r.cache_hits) /
-                          static_cast<double>(probes);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < designs.size(); ++i)
       if (r.schemes[i] != reference.schemes[i]) ++mismatches;
     all_identical = all_identical && mismatches == 0;
-    std::printf("%8u %10.3f %8.2fx %9.1f%% %10s\n", threads, r.seconds,
-                reference.seconds / r.seconds, 100.0 * hit_rate,
+    std::printf("%8u %10.3f %8.2fx %10s\n", threads, r.seconds,
+                reference.seconds / r.seconds,
                 mismatches == 0
                     ? "yes"
                     : ("NO (" + std::to_string(mismatches) + ")").c_str());

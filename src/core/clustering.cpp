@@ -45,7 +45,7 @@ BasePartition make_partition(const Design& design,
 
 std::vector<BasePartition> enumerate_base_partitions(
     const Design& design, const ConnectivityMatrix& matrix,
-    std::size_t max_modes) {
+    std::size_t max_modes, const CancelToken* cancel) {
   require(max_modes == 0 || max_modes >= 2,
           "max_modes must be 0 (unlimited) or at least 2");
   const std::size_t n = matrix.modes();
@@ -79,6 +79,15 @@ std::vector<BasePartition> enumerate_base_partitions(
 
   std::vector<DynBitset> adjacency(n, DynBitset(n));
   std::unordered_set<DynBitset, DynBitsetHash> seen;
+  // Cancellation point, polled once per 4096 candidate extensions (reading
+  // the token's deadline costs a clock read).
+  std::uint32_t until_poll = 0;
+  auto poll_cancel = [&] {
+    if (cancel != nullptr && until_poll-- == 0) {
+      until_poll = 4095;
+      check_cancel(cancel);
+    }
+  };
 
   // Records `set` as a base partition; duplicates would indicate a bug in
   // the "clique found exactly once, when its last edge arrives" argument.
@@ -98,6 +107,7 @@ std::vector<BasePartition> enumerate_base_partitions(
     record(current);
     if (max_modes != 0 && current.count() >= max_modes) return;
     for (std::size_t i = from; i < cands.size(); ++i) {
+      poll_cancel();
       const std::size_t c = cands[i];
       DynBitset next = current;
       next.set(c);
@@ -110,6 +120,7 @@ std::vector<BasePartition> enumerate_base_partitions(
   };
 
   for (const Link& link : links) {
+    poll_cancel();
     adjacency[link.a].set(link.b);
     adjacency[link.b].set(link.a);
 

@@ -5,6 +5,7 @@
 #include "core/base_partition.hpp"
 #include "core/connectivity.hpp"
 #include "design/design.hpp"
+#include "util/cancel.hpp"
 
 namespace prpart {
 
@@ -32,9 +33,13 @@ namespace prpart {
 /// 2^(configuration width), so designs much wider than the paper's 6
 /// modules need a cap; the full-configuration sets are always appended
 /// regardless (the single-region baseline requires them).
+///
+/// `cancel` (nullable) is polled every few thousand candidate extensions, so
+/// a wide design's enumeration unwinds with CancelledError soon after the
+/// token fires; a null token costs nothing.
 std::vector<BasePartition> enumerate_base_partitions(
     const Design& design, const ConnectivityMatrix& matrix,
-    std::size_t max_modes = 0);
+    std::size_t max_modes = 0, const CancelToken* cancel = nullptr);
 
 /// Brute-force oracle used by the tests: every non-empty subset of every
 /// configuration's mode set, deduplicated, with the same frequency-weight

@@ -10,7 +10,8 @@ DesignPlan::DesignPlan(const Design& design, const PartitionerOptions& options)
     : design_(design),
       matrix_(design),
       partitions_(enumerate_base_partitions(design, matrix_,
-                                            options.max_partition_modes)),
+                                            options.max_partition_modes,
+                                            options.search.cancel)),
       compat_(matrix_, partitions_),
       // One evaluation-kernel context per (design, partition set): the
       // baseline evaluations below, the search's final certification, and

@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/cost_cache.hpp"
 #include "core/covering.hpp"
 #include "core/eval_kernel.hpp"
 #include "core/search_internal.hpp"
@@ -33,11 +32,23 @@ struct UnitOutcome {
   std::uint64_t cap = 0;           ///< evaluation cap the unit ran with
   bool truncated = false;          ///< stopped because evals reached cap
   bool ran = false;
-  bool pruned_speculative = false; ///< skipped on the shared bound hint
+  bool pruned_speculative = false; ///< skipped on its bound vs the hint
   std::size_t greedy_runs = 0;
   std::uint64_t states_recorded = 0;
   std::uint64_t full_evaluations = 0;  ///< merge costs computed from scratch
   std::uint64_t moves_rescored = 0;    ///< served by the move table
+};
+
+/// The branch-and-bound verdict on a unit's start state, filled in on
+/// demand: the sterile test whenever the unit is reached, the knapsack
+/// value only when a full leaderboard must be compared against it or the
+/// unit recorded entries (bound_lb_sum). Both are pure functions of the
+/// unit, so whichever phase computes them first, the values are the same.
+struct UnitBound {
+  bool tested = false;  ///< `sterile` is known
+  bool sterile = false; ///< no completion of the start state fits
+  bool valued = false;  ///< `lb` is known
+  std::uint64_t lb = 0; ///< completion_lower_bound of the start state
 };
 
 /// Shared *hint* of the worst kept leaderboard objective, fed by finished
@@ -80,8 +91,8 @@ struct MergeEntry {
 };
 
 /// Everything a search worker would otherwise rebuild per candidate set,
-/// kept warm across every set, restart and phase-1b bound its thread runs,
-/// and across searches on a persistent pool thread (DESIGN.md §4e). After
+/// kept warm across every set, restart and bound its thread runs, and
+/// across searches on a persistent pool thread (DESIGN.md §4e). After
 /// warm-up a restart touches the allocator only when a state enters its
 /// leaderboard. Holds no reference into any search: every use starts by
 /// loading a state, so a search that unwinds (cancellation) leaves nothing
@@ -100,9 +111,7 @@ struct Workspace {
   std::size_t words = 0;                ///< words per bit row, ceil(n / 64)
   std::vector<std::uint64_t> compat;    ///< n rows: bit j = disjoint occs
   std::vector<std::uint64_t> row_undo;  ///< saved compat rows, per depth
-  std::vector<std::size_t> alive_list;  ///< sorted indices of alive groups
-  std::vector<std::uint64_t> alive_mask;  ///< same set, one bit row
-  GroupCostCache::Key cache_key;        ///< merged member set of a probe
+  std::vector<std::uint64_t> alive_mask;  ///< bit g = group g alive
   KeyScratch key;                       ///< record()'s canonical key
   std::vector<PromoteItem> bound_items; ///< the bound's knapsack buffer
 
@@ -128,26 +137,21 @@ Workspace& thread_workspace() {
 /// re-used across the set's restarts through a version-stamped move table
 /// (the restarts share the initial state, so step-one move scores differ
 /// only around the forced first move). Entirely thread-confined apart from
-/// the shared read-only inputs and the internally synchronised cost cache.
+/// the shared read-only inputs.
 class ChunkRunner {
  public:
   ChunkRunner(const Design& design, const ResourceVec& budget,
-              const SearchOptions& options, GroupCostCache* cache,
-              const State& initial)
-      : design_(design), budget_(budget), options_(options), cache_(cache),
+              const SearchOptions& options, const State& initial)
+      : design_(design), budget_(budget), options_(options),
         ws_(thread_workspace()), s_(ws_.s) {
     ws_.load(initial);
     const std::size_t n = s_.groups.size();
     ws_.versions.resize(n);
     for (std::uint64_t& v : ws_.versions) v = ++ws_.version_counter;
     ws_.words = (n + 63) / 64;
-    ws_.alive_list.clear();
     ws_.alive_mask.assign(ws_.words, 0);
     for (std::size_t i = 0; i < n; ++i)
-      if (s_.groups[i].alive) {
-        ws_.alive_list.push_back(i);
-        set_bit(ws_.alive_mask.data(), i);
-      }
+      if (s_.groups[i].alive) set_bit(ws_.alive_mask.data(), i);
     // The table is quadratic in the candidate-set size; past a few hundred
     // groups its footprint outweighs the rescoring win, so fall back to
     // fresh evaluation (results are identical either way).
@@ -171,17 +175,43 @@ class ChunkRunner {
     }
   }
 
-  UnitOutcome run_unit(const Unit& unit, std::uint64_t cap) {
+  /// Runs `unit` with evaluation cap `cap`. With bounding on (`bound`
+  /// non-null) the start state is tested first and the unit is skipped
+  /// (`pruned_speculative`) when it is sterile or, with `worst` finite (a
+  /// full leaderboard), when its bound exceeds `worst`; a unit that records
+  /// entries leaves its bound valued for the bound statistics.
+  UnitOutcome run_unit(const Unit& unit, std::uint64_t cap, UnitBound* bound,
+                       std::uint64_t worst = kNoFittingCompletion) {
     out_ = UnitOutcome{};
     out_.cap = cap;
-    out_.ran = true;
-    if (unit.first) {
-      apply(*unit.first);
-      record();
+    if (unit.first) apply(*unit.first);
+    const std::size_t start = undo_depth_;
+    if (bound != nullptr) {
+      const bool full = worst != kNoFittingCompletion;
+      assess(*bound, full);
+      if (bound->sterile || (full && bound->lb > worst)) {
+        out_.pruned_speculative = true;
+        unwind();
+        return std::move(out_);
+      }
     }
+    out_.ran = true;
+    if (unit.first) record();
     greedy();
+    if (bound != nullptr && !out_.kept.empty() && !bound->valued) {
+      unwind(start);
+      assess(*bound, true);
+    }
     unwind();
     return std::move(out_);
+  }
+
+  /// Fills in `bound` for `unit` without running it: the sterile test, and
+  /// the value too when `need_value`.
+  void bound_unit(const Unit& unit, UnitBound& bound, bool need_value) {
+    if (unit.first) apply(*unit.first);
+    assess(bound, need_value);
+    unwind();
   }
 
  private:
@@ -193,11 +223,35 @@ class ChunkRunner {
   static void reset_bit(std::uint64_t* row, std::size_t k) {
     row[k / 64] &= ~(std::uint64_t{1} << (k % 64));
   }
-  static bool test_bit(const std::uint64_t* row, std::size_t k) {
-    return (row[k / 64] >> (k % 64)) & 1u;
+  /// The first alive group at or after `from`, or the group count.
+  std::size_t next_alive(std::size_t from) const {
+    for (std::size_t w = from / 64; w < ws_.words; ++w) {
+      std::uint64_t bits = ws_.alive_mask[w];
+      if (w == from / 64) bits &= ~std::uint64_t{0} << (from % 64);
+      if (bits != 0)
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+    return s_.groups.size();
   }
   std::uint64_t* compat_row(std::size_t i) {
     return ws_.compat.data() + i * ws_.words;
+  }
+
+  /// The unit's bound on the current (start) state: the sterile test once,
+  /// then the value once it is needed and the state is not sterile.
+  void assess(UnitBound& bound, bool need_value) {
+    if (!bound.tested) {
+      bound.tested = true;
+      bound.sterile =
+          no_fitting_completion(s_, design_.static_base(), budget_,
+                                options_.allow_static_promotion);
+    }
+    if (need_value && !bound.sterile && !bound.valued) {
+      bound.valued = true;
+      bound.lb = completion_lower_bound(s_, design_.static_base(), budget_,
+                                        options_.allow_static_promotion,
+                                        ws_.bound_items);
+    }
   }
 
   Objective objective(std::uint64_t excess, std::uint64_t ttotal,
@@ -212,20 +266,8 @@ class ChunkRunner {
                      weighted_area(total));
   }
 
-  /// Cost of the region formed by merging `ga` and `gb`, memoised on the
-  /// merged member set when the cache is enabled.
-  GroupCost merged_cost(const Group& ga, const Group& gb) {
-    if (!cache_) return merged_group_cost(ga, gb, options_.pair_weights);
-    GroupCostCache::Key& key = ws_.cache_key;
-    key.resize(ga.members.size() + gb.members.size());
-    std::merge(ga.members.begin(), ga.members.end(), gb.members.begin(),
-               gb.members.end(), key.begin());
-    const std::size_t hash = cache_->hash_of(key);
-    if (const std::optional<GroupCost> hit = cache_->lookup(key, hash))
-      return *hit;
-    const GroupCost cost = merged_group_cost(ga, gb, options_.pair_weights);
-    cache_->store(key, cost, hash);
-    return cost;
+  GroupCost merged_cost(const Group& ga, const Group& gb) const {
+    return merged_group_cost(ga, gb, options_.pair_weights);
   }
 
   /// Counts one move evaluation — the deterministic budget unit — on the
@@ -340,29 +382,15 @@ class ChunkRunner {
                      weighted_area(total));
   }
 
-  /// Removes / reinserts an index of the sorted alive list (and mask).
-  void alive_erase(std::size_t g) {
-    ws_.alive_list.erase(
-        std::lower_bound(ws_.alive_list.begin(), ws_.alive_list.end(), g));
-    reset_bit(ws_.alive_mask.data(), g);
-  }
-  void alive_insert(std::size_t g) {
-    ws_.alive_list.insert(
-        std::lower_bound(ws_.alive_list.begin(), ws_.alive_list.end(), g),
-        g);
-    set_bit(ws_.alive_mask.data(), g);
-  }
-
-  /// Mirrors row `a` of the compatibility rows into column `a`, keeping
-  /// the rows symmetric after row `a` changed.
-  void mirror_compat_column(std::size_t a) {
-    const std::uint64_t* row_a = compat_row(a);
-    for (std::size_t k = 0; k < s_.groups.size(); ++k) {
-      if (k == a) continue;
-      if (test_bit(row_a, k))
-        set_bit(compat_row(k), a);
-      else
-        reset_bit(compat_row(k), a);
+  /// Keeps the compatibility rows symmetric after row `a` changed: `flip`
+  /// holds the bits k whose entry (a, k) changed, and each (k, a) follows.
+  void flip_compat_column(std::size_t a, std::size_t w, std::uint64_t flip) {
+    const std::uint64_t bit = std::uint64_t{1} << (a % 64);
+    while (flip != 0) {
+      const std::size_t k = w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(flip));
+      flip &= flip - 1;
+      compat_row(k)[a / 64] ^= bit;
     }
   }
 
@@ -370,8 +398,7 @@ class ChunkRunner {
     GroupCost cost;
     if (move.kind == Move::Kind::Merge) {
       // The scan that chose this move just scored it, so with the table on
-      // its entry is almost always still valid — reuse it instead of going
-      // back through the shared cost cache (hash + probe + lock).
+      // its entry is almost always still valid — reuse it.
       const MergeEntry* entry =
           ws_.table_on ? &ws_.table[move.a * s_.groups.size() + move.b]
                        : nullptr;
@@ -384,38 +411,44 @@ class ChunkRunner {
     UndoRecord& undo = ws_.undo_stack[undo_depth_++];
     apply_move_into(s_, move, &cost, undo);
     undo.prior_version = ws_.versions[move.a];
-    alive_erase(move.kind == Move::Kind::Merge ? move.b : move.a);
+    reset_bit(ws_.alive_mask.data(),
+              move.kind == Move::Kind::Merge ? move.b : move.a);
     if (move.kind == Move::Kind::Merge) {
       ws_.versions[move.a] = ++ws_.version_counter;
       if (ws_.table_on) {
         // Group a absorbed b's occupancy: a is now compatible with exactly
-        // the groups both were compatible with. Row first, then mirror the
-        // column so the rows stay symmetric.
+        // the groups both were compatible with. Row a only loses bits, and
+        // column a loses the same ones.
         std::uint64_t* row_a = compat_row(move.a);
         const std::uint64_t* row_b = compat_row(move.b);
         std::uint64_t* saved = &ws_.row_undo[(undo_depth_ - 1) * ws_.words];
         for (std::size_t w = 0; w < ws_.words; ++w) {
           saved[w] = row_a[w];
           row_a[w] &= row_b[w];
+          flip_compat_column(move.a, w, saved[w] & ~row_a[w]);
         }
-        mirror_compat_column(move.a);
       }
     }
   }
 
-  /// Reverses every move this unit applied, restoring the set's initial
-  /// state (and the groups' version stamps and compatibility rows,
-  /// revalidating table entries for the next restart).
-  void unwind() {
-    while (undo_depth_ > 0) {
+  /// Reverses the moves this unit applied down to undo depth `depth` (by
+  /// default all of them, restoring the set's initial state), together with
+  /// the groups' version stamps and compatibility rows, revalidating table
+  /// entries for the next restart.
+  void unwind(std::size_t depth = 0) {
+    while (undo_depth_ > depth) {
       UndoRecord& undo = ws_.undo_stack[--undo_depth_];
       ws_.versions[undo.move.a] = undo.prior_version;
-      alive_insert(undo.move.kind == Move::Kind::Merge ? undo.move.b
-                                                       : undo.move.a);
+      set_bit(ws_.alive_mask.data(), undo.move.kind == Move::Kind::Merge
+                                         ? undo.move.b
+                                         : undo.move.a);
       if (undo.move.kind == Move::Kind::Merge && ws_.table_on) {
-        std::copy_n(&ws_.row_undo[undo_depth_ * ws_.words], ws_.words,
-                    compat_row(undo.move.a));
-        mirror_compat_column(undo.move.a);
+        std::uint64_t* row_a = compat_row(undo.move.a);
+        const std::uint64_t* saved = &ws_.row_undo[undo_depth_ * ws_.words];
+        for (std::size_t w = 0; w < ws_.words; ++w) {
+          flip_compat_column(undo.move.a, w, saved[w] & ~row_a[w]);
+          row_a[w] = saved[w];
+        }
       }
       undo_move(s_, undo);
     }
@@ -452,8 +485,7 @@ class ChunkRunner {
   /// below the cap is therefore charged in one add and scans only what it
   /// scores; the one step that reaches the cap is charged evaluation by
   /// evaluation instead, so it stops on exactly the same move — and leaves
-  /// the same move-table and cost-cache entries behind — as a per-move
-  /// count would.
+  /// the same move-table entries behind — as a per-move count would.
   void greedy() {
     ++out_.greedy_runs;
     record();
@@ -485,6 +517,7 @@ class ChunkRunner {
     scan_base_ = s_.pr_res + design_.static_base() + s_.static_extra;
     Objective best_obj = state_objective();
     std::optional<Move> best_move;
+    const std::size_t n = s_.groups.size();
     const auto consider = [&](const Objective& obj, const Move& move) {
       if (obj < best_obj) {
         best_obj = obj;
@@ -497,7 +530,7 @@ class ChunkRunner {
       // alive-but-incompatible partners in between are charged in bulk
       // (they have no side effects), preserving the exact per-pair
       // truncation point.
-      for (const std::size_t i : ws_.alive_list) {
+      for (std::size_t i = next_alive(0); i < n; i = next_alive(i + 1)) {
         const std::uint64_t* row = compat_row(i);
         const RowCtx ctx = row_ctx(i);
         const std::size_t start = i + 1;
@@ -546,13 +579,10 @@ class ChunkRunner {
     // Table-less path (table off, or more groups than it allows): every
     // compatible pair is scored afresh. Cancellation is polled once per row
     // so a step over a large candidate set still answers promptly.
-    const std::size_t alive = ws_.alive_list.size();
-    for (std::size_t ii = 0; ii < alive; ++ii) {
+    for (std::size_t i = next_alive(0); i < n; i = next_alive(i + 1)) {
       check_cancel(options_.cancel);
-      const std::size_t i = ws_.alive_list[ii];
       const Group& ga = s_.groups[i];
-      for (std::size_t jj = ii + 1; jj < alive; ++jj) {
-        const std::size_t j = ws_.alive_list[jj];
+      for (std::size_t j = next_alive(i + 1); j < n; j = next_alive(j + 1)) {
         const Group& gb = s_.groups[j];
         if constexpr (kCapping) count_evaluation();
         if (!ga.occ.intersects(gb.occ)) {
@@ -577,7 +607,6 @@ class ChunkRunner {
   const Design& design_;
   const ResourceVec budget_;
   const SearchOptions& options_;
-  GroupCostCache* cache_;
   Workspace& ws_;
   State& s_;                 ///< ws_.s
   std::size_t undo_depth_ = 0;
@@ -641,42 +670,6 @@ class Searcher {
     }
     stats_.units = units.size();
 
-    // Phase 1b — the branch-and-bound lower bounds. One admissible bound
-    // per unit on the weighted total frames of every fitting completion of
-    // its start state (the set's initial state pushed through the forced
-    // first move). A pure function of the unit, so the fan-out is
-    // deterministic by construction.
-    std::vector<std::uint64_t> unit_lb;
-    if (options_.use_bounding) {
-      unit_lb.assign(units.size(), 0);
-      parallel_for(options_.pool, initials.size(), threads, [&](std::size_t k) {
-        Workspace& ws = thread_workspace();
-        ws.load(initials[k]);  // scratch copy, restored by undo below
-        State& s = ws.s;
-        for (std::size_t i = set_units[k].first; i < set_units[k].second;
-             ++i) {
-          check_cancel(options_.cancel);
-          if (!units[i].first) {
-            unit_lb[i] = completion_lower_bound(
-                s, design_.static_base(), budget_,
-                options_.allow_static_promotion, ws.bound_items);
-            continue;
-          }
-          const Move& m = *units[i].first;
-          GroupCost cost;
-          if (m.kind == Move::Kind::Merge)
-            cost = merged_group_cost(s.groups[m.a], s.groups[m.b],
-                                     options_.pair_weights);
-          UndoRecord& undo = ws.undo_stack.front();
-          apply_move_into(s, m, &cost, undo);
-          unit_lb[i] = completion_lower_bound(
-              s, design_.static_base(), budget_,
-              options_.allow_static_promotion, ws.bound_items);
-          undo_move(s, undo);
-        }
-      });
-    }
-
     // Phase 2 — run the units, one candidate set per task so the set's
     // restarts share a chunk runner (state copy, undo stack, move table,
     // all held in the worker thread's workspace).
@@ -684,29 +677,26 @@ class Searcher {
     // to a relaxed global counter, and with the shared bound hint deciding
     // whether it is worth running at all. The merge below corrects any unit
     // whose speculative cap or prune disagrees with the canonical one.
-    GroupCostCache cache;
-    GroupCostCache* cache_ptr = options_.use_cost_cache ? &cache : nullptr;
+    // Bounds are computed on demand (UnitBound): a unit the counter says is
+    // past the budget is not even tested.
     std::vector<UnitOutcome> outcomes(units.size());
+    std::vector<UnitBound> bounds(options_.use_bounding ? units.size() : 0);
     std::atomic<std::uint64_t> consumed_hint{0};
     const std::size_t keep =
         std::max<std::size_t>(1, options_.keep_alternatives);
     BoundHint hint(keep);
     parallel_for(options_.pool, initials.size(), threads, [&](std::size_t k) {
-      ChunkRunner runner(design_, budget_, options_, cache_ptr, initials[k]);
+      ChunkRunner runner(design_, budget_, options_, initials[k]);
       for (std::size_t i = set_units[k].first; i < set_units[k].second; ++i) {
-        if (options_.use_bounding) {
-          const std::uint64_t lb = unit_lb[i];
-          if (lb == kNoFittingCompletion || lb > hint.worst()) {
-            outcomes[i].pruned_speculative = true;
-            continue;
-          }
-        }
         const std::uint64_t consumed =
             std::min(consumed_hint.load(std::memory_order_relaxed),
                      options_.max_move_evaluations);
         const std::uint64_t cap = options_.max_move_evaluations - consumed;
         if (cap == 0) continue;  // almost certainly exhausted; merge re-checks
-        outcomes[i] = runner.run_unit(units[i], cap);
+        outcomes[i] = runner.run_unit(
+            units[i], cap, options_.use_bounding ? &bounds[i] : nullptr,
+            hint.worst());
+        if (!outcomes[i].ran) continue;
         consumed_hint.fetch_add(outcomes[i].evals, std::memory_order_relaxed);
         hint.offer(outcomes[i].kept);
       }
@@ -720,22 +710,34 @@ class Searcher {
     // when its speculative run is exactly what a sequential search would
     // have done with the remaining budget; otherwise it is replayed with
     // the canonical cap. Once the budget is exhausted every later unit is
-    // dropped, mirroring the sequential early-out.
+    // dropped, mirroring the sequential early-out. Bound parts phase 2 did
+    // not compute, and replays, run on one runner per candidate set.
     std::vector<Kept> kept;
     std::uint64_t remaining = options_.max_move_evaluations;
     bool any_unit = false;
     std::size_t last_set = 0;
+    std::optional<ChunkRunner> merge_runner;
+    std::size_t merge_set = 0;
+    const auto runner_for = [&](std::size_t set) -> ChunkRunner& {
+      if (!merge_runner || merge_set != set) {
+        merge_runner.emplace(design_, budget_, options_, initials[set]);
+        merge_set = set;
+      }
+      return *merge_runner;
+    };
     for (std::size_t i = 0; i < units.size(); ++i) {
       check_cancel(options_.cancel);
       if (stats_.budget_exhausted) break;
       if (options_.use_bounding) {
-        const std::uint64_t lb = unit_lb[i];
-        const bool sterile = lb == kNoFittingCompletion;
+        UnitBound& bound = bounds[i];
+        const bool full = kept.size() >= keep;
+        if (!bound.tested || (full && !bound.sterile && !bound.valued))
+          runner_for(units[i].set).bound_unit(units[i], bound, full);
         const bool dominated =
-            kept.size() >= keep && lb > kept.back().ttotal;
-        if (sterile || dominated) {
+            full && !bound.sterile && bound.lb > kept.back().ttotal;
+        if (bound.sterile || dominated) {
           ++stats_.units_pruned;
-          if (!sterile) stats_.bound_gap_sum += lb - kept.back().ttotal;
+          if (dominated) stats_.bound_gap_sum += bound.lb - kept.back().ttotal;
           any_unit = true;
           last_set = units[i].set;
           continue;
@@ -746,9 +748,9 @@ class Searcher {
           out.pruned_speculative || !out.ran ||
           (out.truncated ? out.cap != remaining : out.evals >= remaining);
       if (replay) {
-        ChunkRunner runner(design_, budget_, options_, cache_ptr,
-                           initials[units[i].set]);
-        out = runner.run_unit(units[i], remaining);
+        out = runner_for(units[i].set).run_unit(
+            units[i], remaining,
+            options_.use_bounding ? &bounds[i] : nullptr);
         ++stats_.units_replayed;
       }
       remaining -= out.evals;
@@ -761,7 +763,7 @@ class Searcher {
       any_unit = true;
       last_set = units[i].set;
       if (options_.use_bounding && !out.kept.empty()) {
-        stats_.bound_lb_sum += unit_lb[i];
+        stats_.bound_lb_sum += bounds[i].lb;
         stats_.bound_best_sum += out.kept.front().ttotal;
       }
       for (const Kept& entry : out.kept)
@@ -770,12 +772,6 @@ class Searcher {
     stats_.candidate_sets = any_unit ? last_set + 1 : 0;
     for (const UnitOutcome& out : outcomes)
       if (out.pruned_speculative) ++stats_.units_pruned_speculative;
-    if (cache_ptr) {
-      const GroupCostCache::Stats cs = cache.stats();
-      stats_.cache_hits = cs.hits;
-      stats_.cache_misses = cs.misses;
-      stats_.cache_entries = cache.size();
-    }
 
     SearchResult result;
     result.stats = stats_;

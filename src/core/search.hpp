@@ -75,11 +75,6 @@ struct SearchOptions {
   /// caller. Every value returns bit-identical schemes and deterministic
   /// core stats — see DESIGN.md, "Parallel region-allocation search".
   unsigned threads = 0;
-  /// Memoise per-member-set group costs (area, tiles, frames, pair weight)
-  /// in a cache shared across all branches and threads of this search.
-  /// Results are identical with the cache off; the switch exists for
-  /// benchmarking and fault isolation.
-  bool use_cost_cache = true;
   /// Branch-and-bound pruning: drop a restart unit without running it when
   /// an admissible lower bound on every fitting completion of its start
   /// state (completion_lower_bound, see DESIGN.md) proves it cannot enter
@@ -190,9 +185,6 @@ struct SearchStats {
   std::uint64_t full_evaluations = 0;
   /// Move considerations served from the incremental move table.
   std::uint64_t moves_rescored = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::size_t cache_entries = 0;
 };
 
 struct SearchResult {

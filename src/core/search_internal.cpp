@@ -1,6 +1,7 @@
 #include "core/search_internal.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 namespace prpart::search_internal {
@@ -433,6 +434,38 @@ std::uint64_t completion_lower_bound(const State& s,
     lb = std::max(lb, b);
   }
   return lb;
+}
+
+bool no_fitting_completion(const State& s, const ResourceVec& static_base,
+                           const ResourceVec& budget,
+                           bool allow_static_promotion) {
+  // projected_lower_bound's two sterile exits, per projection, with the
+  // promote-everything price and the smallest footprint gathered in one
+  // pass over the groups.
+  constexpr std::size_t kCount = std::size(kProjections);
+  std::uint64_t total_price[kCount] = {};
+  std::uint64_t minfoot[kCount];
+  std::fill_n(minfoot, kCount, ~std::uint64_t{0});
+  for (const Group& g : s.groups) {
+    if (!g.alive) continue;
+    const ResourceVec foot = g.tiles.resources();
+    for (std::size_t k = 0; k < kCount; ++k) {
+      total_price[k] += project(kProjections[k], g.promote_area);
+      minfoot[k] = std::min(minfoot[k], project(kProjections[k], foot));
+    }
+  }
+  const ResourceVec static_area = static_base + s.static_extra;
+  for (std::size_t k = 0; k < kCount; ++k) {
+    const std::uint64_t pbudget = project(kProjections[k], budget);
+    const std::uint64_t pstatic = project(kProjections[k], static_area);
+    if (pstatic > pbudget) return true;
+    if (s.alive == 0) continue;
+    const std::uint64_t cap0 = pbudget - pstatic;
+    const bool all_promotable =
+        allow_static_promotion && total_price[k] <= cap0;
+    if (!all_promotable && minfoot[k] > cap0) return true;
+  }
+  return false;
 }
 
 }  // namespace prpart::search_internal

@@ -16,7 +16,6 @@
 
 #include "core/base_partition.hpp"
 #include "core/compatibility.hpp"
-#include "core/cost_cache.hpp"
 #include "core/scheme.hpp"
 #include "core/search.hpp"
 #include "device/resources.hpp"
@@ -64,6 +63,18 @@ struct Objective {
   }
 };
 
+/// The member-set-determined part of a region's cost model: every field is a
+/// pure function of the set of base partitions in the region (areas are
+/// element-wise maxima, tw_union sums pair weights over the occupancy
+/// union). merged_group_cost computes it; the search's move table keeps it
+/// per group pair.
+struct GroupCost {
+  ResourceVec raw;             ///< element-wise max of member areas (Eq. 2)
+  TileCount tiles;             ///< Eqs. 3-5 on raw
+  std::uint64_t frames = 0;    ///< Eq. 6
+  std::uint64_t tw_union = 0;  ///< pair weight over the occupancy union
+};
+
 /// One region-in-progress: a set of base partitions plus the incremental
 /// cost-model quantities needed to evaluate moves in O(1).
 ///
@@ -73,8 +84,7 @@ struct Objective {
 /// difference, times frames, is the group's (possibly weighted) Eq. 10
 /// term. With uniform weights tw_union = C(|occ|, 2).
 ///
-/// `members` is kept sorted at all times: the sorted member set is the
-/// group's identity in the shared cost cache.
+/// `members` is kept sorted at all times: canonical_key relies on it.
 struct Group {
   std::vector<std::size_t> members;
   DynBitset occ;             ///< union of member occupancies (configs)
@@ -120,8 +130,8 @@ std::uint64_t pair_weight_between(const PairWeights* weights, const Group& a,
 /// order shared by every execution mode.
 std::vector<Move> moves_of(const State& s, bool allow_static_promotion);
 
-/// The member-set-determined cost of merging `a` and `b` (pure compute; the
-/// search layers its memo caches above this).
+/// The member-set-determined cost of merging `a` and `b`: O(1) without pair
+/// weights, O(|occ a| x |occ b|) with them.
 GroupCost merged_group_cost(const Group& a, const Group& b,
                             const PairWeights* weights);
 
@@ -158,7 +168,7 @@ struct UndoRecord {
 
 /// Applies `move` to `s` and returns the record that undoes it. For merges,
 /// `merge_cost` must be the merged_group_cost of the two groups (possibly
-/// from a cache); promotes ignore it.
+/// from the move table); promotes ignore it.
 UndoRecord apply_move(State& s, const Move& move, const GroupCost* merge_cost);
 
 /// apply_move writing into a caller-owned record: with a pooled UndoRecord
@@ -268,5 +278,15 @@ std::uint64_t completion_lower_bound(const State& s,
                                      const ResourceVec& budget,
                                      bool allow_static_promotion,
                                      std::vector<PromoteItem>& items);
+
+/// The sterile test alone: true exactly when completion_lower_bound returns
+/// kNoFittingCompletion, i.e. under some projection either the static area
+/// exceeds the budget or alive groups remain and neither promoting them all
+/// nor keeping one region fits. One pass over the groups and no knapsack,
+/// so the search runs it on every unit and computes the bound's value only
+/// where a full leaderboard or the bound statistics need it.
+bool no_fitting_completion(const State& s, const ResourceVec& static_base,
+                           const ResourceVec& budget,
+                           bool allow_static_promotion);
 
 }  // namespace prpart::search_internal

@@ -346,9 +346,10 @@ json::Value partition_result_json(const Design& design,
   baselines.set("static", baseline_json(result.static_impl));
   v.set("baselines", baselines);
 
-  // Deterministic core of the stats only: units_replayed and the cache
-  // numbers vary with thread interleaving and would break the byte-identity
-  // contract between runs with different --threads.
+  // Deterministic core of the stats only: units_replayed and the
+  // full_evaluations/moves_rescored split vary with thread interleaving and
+  // would break the byte-identity contract between runs with different
+  // --threads.
   json::Value stats = json::Value::object();
   stats.set("move_evaluations", json::Value(result.stats.move_evaluations));
   stats.set("candidate_sets",

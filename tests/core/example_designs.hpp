@@ -1,7 +1,12 @@
 #pragma once
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "design/builder.hpp"
 #include "design/design.hpp"
+#include "util/rng.hpp"
 
 namespace prpart::testing {
 
@@ -56,6 +61,39 @@ inline Design fig3_example() {
       .configuration({{"A", "A2"}, {"B", "B2"}})
       .configuration({{"A", "A1"}, {"B", "B2"}})
       .build();
+}
+
+/// A design whose plan takes well under a millisecond but whose search runs
+/// for tens to hundreds of milliseconds: twenty two-mode modules and
+/// sixteen configurations of three modules each. Narrow configurations keep
+/// the base partitions few (95 cliques of at most three modes), while
+/// candidate sets of ~40 singleton groups give every greedy descent hundreds
+/// of moves per step. Cancellation tests use it so that a 1 ms deadline
+/// always fires inside the search.
+inline Design long_search_design() {
+  DesignBuilder builder("long-search");
+  for (int m = 0; m < 20; ++m) {
+    std::vector<Mode> modes;
+    for (int k = 0; k < 2; ++k)
+      modes.push_back(Mode{
+          "m" + std::to_string(m) + "_" + std::to_string(k),
+          ResourceVec{static_cast<std::uint32_t>(60 + 13 * m + 29 * k),
+                      static_cast<std::uint32_t>(k),
+                      static_cast<std::uint32_t>(m % 3)}});
+    builder.module("M" + std::to_string(m), std::move(modes));
+  }
+  Rng rng(11);
+  for (int c = 0; c < 16; ++c) {
+    std::vector<std::pair<std::string, std::string>> uses;
+    for (int j = 0; j < 3; ++j) {
+      const int m = (3 * c + j) % 20;
+      uses.emplace_back("M" + std::to_string(m),
+                        "m" + std::to_string(m) + "_" +
+                            std::to_string(rng.below(2)));
+    }
+    builder.configuration(uses);
+  }
+  return builder.build();
 }
 
 }  // namespace prpart::testing

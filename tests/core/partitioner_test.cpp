@@ -9,6 +9,7 @@
 #include "design/synthetic.hpp"
 #include "device/tiles.hpp"
 #include "tests/core/example_designs.hpp"
+#include "util/cancel.hpp"
 #include "util/status.hpp"
 
 namespace prpart {
@@ -380,6 +381,23 @@ TEST(DesignPlanTest, SingleRegionBillDecidesFeasibility) {
   EXPECT_FALSE(solve(plan, tight).feasible);
   EXPECT_EQ(solve(plan, bill.total).single_region.eval.total_resources,
             bill.total);
+}
+
+TEST(DesignPlanTest, FiredCancelTokenUnwindsThePlan) {
+  // The plan polls the job's token while it enumerates base partitions, so
+  // a job whose deadline has passed stops before the plan is built.
+  const Design d = paper_example();
+  CancelToken fired;
+  fired.cancel();
+  PartitionerOptions options;
+  options.search.cancel = &fired;
+  EXPECT_THROW(DesignPlan(d, options), CancelledError);
+  // A live token changes nothing.
+  CancelToken live;
+  options.search.cancel = &live;
+  const DesignPlan plan(d, options);
+  EXPECT_EQ(plan.base_partitions().size(),
+            DesignPlan(d).base_partitions().size());
 }
 
 }  // namespace

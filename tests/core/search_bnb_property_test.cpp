@@ -215,9 +215,11 @@ TEST(SearchBnbProperty, CancellationThrowsInEveryMode) {
     opt.cancel = &token;
     EXPECT_THROW(h.run({6800, 64, 150}, opt), CancelledError);
   }
+  Harness long_search(testing::long_search_design());
   for (const bool bounding : {true, false}) {
-    // Mid-search: a deadline far shorter than the case-study search's run
-    // time fires between greedy steps (polled at least once per step).
+    // Mid-search: a deadline far shorter than this search's run time (tens
+    // of milliseconds) fires between greedy steps (polled at least once per
+    // step).
     CancelToken token;
     SearchOptions opt;
     opt.use_bounding = bounding;
@@ -225,7 +227,7 @@ TEST(SearchBnbProperty, CancellationThrowsInEveryMode) {
     opt.max_move_evaluations = 100'000'000;
     opt.cancel = &token;
     token.set_timeout_ms(1);
-    EXPECT_THROW(h.run({6800, 64, 150}, opt), CancelledError);
+    EXPECT_THROW(long_search.run({100000, 1000, 1000}, opt), CancelledError);
   }
 }
 

@@ -80,7 +80,7 @@ void apply_random_move(si::State& s, Rng& rng, bool allow_promotion,
   const std::vector<si::Move> moves = valid_moves(s, allow_promotion);
   ASSERT_FALSE(moves.empty());
   const si::Move m = moves[rng.below(moves.size())];
-  GroupCost cost;
+  si::GroupCost cost;
   if (m.kind == si::Move::Kind::Merge)
     cost = si::merged_group_cost(s.groups[m.a], s.groups[m.b], weights);
   si::UndoRecord undo = si::apply_move(s, m, &cost);
@@ -172,7 +172,7 @@ TEST(SearchBound, OversizedStaticProvesNoFittingCompletion) {
   si::State s = h.initial();
   // Promote one group under a budget far below its area: the static side
   // alone exceeds the budget, so no completion can ever fit.
-  GroupCost unused;
+  si::GroupCost unused;
   si::UndoRecord undo =
       si::apply_move(s, si::Move{si::Move::Kind::Promote, 0, 0}, &unused);
   const ResourceVec tiny{1, 0, 0};
@@ -232,6 +232,43 @@ TEST(SearchBound, SyntheticPlayoutsAdmissibleAndMonotone) {
     check_playout(h, h.slack_budget(), wrng, true, &w, &fitting);
   }
   EXPECT_GT(fitting, 0u) << "no playout visited a fitting state";
+}
+
+TEST(SearchBound, SterileTestMatchesTheBoundOnSuiteDesigns) {
+  // The search runs no_fitting_completion on every unit it reaches and the
+  // full bound only where it needs the value, so the two must agree on
+  // which states are sterile: over random playouts of seed-2013 suite
+  // designs, at budgets from below the single-region bill to well above
+  // it, with promotion on and off.
+  std::size_t sterile = 0, fertile = 0;
+  std::vector<si::PromoteItem> items;
+  Rng rng(2013);
+  for (SyntheticDesign& sd : generate_synthetic_suite(2013, 24)) {
+    Harness h(std::move(sd.design));
+    const ResourceVec lower =
+        h.design.largest_configuration_area() + h.design.static_base();
+    for (const std::uint32_t pct : {60u, 90u, 100u, 115u, 135u, 200u}) {
+      const ResourceVec budget{lower.clbs * pct / 100,
+                               lower.brams * pct / 100,
+                               lower.dsps * pct / 100};
+      for (const bool promotion : {true, false}) {
+        si::State s = h.initial();
+        for (;;) {
+          const bool no_fit = si::no_fitting_completion(
+              s, h.design.static_base(), budget, promotion);
+          const std::uint64_t lb = si::completion_lower_bound(
+              s, h.design.static_base(), budget, promotion, items);
+          EXPECT_EQ(no_fit, lb == si::kNoFittingCompletion)
+              << "budget " << pct << "% promotion " << promotion;
+          ++(no_fit ? sterile : fertile);
+          if (valid_moves(s, promotion).empty()) break;
+          apply_random_move(s, rng, promotion, nullptr);
+        }
+      }
+    }
+  }
+  EXPECT_GT(sterile, 0u);
+  EXPECT_GT(fertile, 0u);
 }
 
 TEST(SearchBound, CanonicalKeyMatchesTheReferenceEncoding) {

@@ -15,6 +15,7 @@
 #include "core/clustering.hpp"
 #include "core/result_io.hpp"
 #include "design/synthetic.hpp"
+#include "device/device.hpp"
 #include "synth/ip_library.hpp"
 #include "tests/core/example_designs.hpp"
 
@@ -112,13 +113,24 @@ TEST(SearchParallel, TruncationPointsAreByteIdenticalAcrossThreadCounts) {
     opt.max_move_evaluations = evals;
     expect_thread_count_invariant(h, {900, 8, 16}, opt);
   }
-}
 
-TEST(SearchParallel, CacheOffIsByteIdenticalAcrossThreadCounts) {
-  Harness h(paper_example());
-  SearchOptions opt;
-  opt.use_cost_cache = false;
-  expect_thread_count_invariant(h, {900, 8, 16}, opt);
+  // Design 15 of the seed-2013 suite on its smallest workable Virtex-5
+  // rung: the bound prunes dominated units before caps of 160-197
+  // evaluations run out mid-set. Threads that race ahead leave units the
+  // merge reaches with a full board but no bound value, and the merge must
+  // value them itself to prune the same units by the same margins.
+  Harness suite(std::move(generate_synthetic_suite(2013, 16)[15].design));
+  const ResourceVec rung = DeviceLibrary::virtex5().devices()[2].capacity();
+  for (std::uint64_t evals = 160; evals < 200; evals += 6) {
+    SearchOptions opt;
+    opt.max_candidate_sets = 24;
+    opt.max_move_evaluations = evals;
+    opt.threads = 1;
+    const SearchResult reference = suite.run(rung, opt);
+    ASSERT_TRUE(reference.stats.budget_exhausted) << evals;
+    ASSERT_GT(reference.stats.bound_gap_sum, 0u) << evals;
+    expect_thread_count_invariant(suite, rung, opt);
+  }
 }
 
 TEST(SearchParallel, TableIIICaseStudyIsByteIdenticalAcrossThreadCounts) {
@@ -128,6 +140,26 @@ TEST(SearchParallel, TableIIICaseStudyIsByteIdenticalAcrossThreadCounts) {
   SearchOptions opt;
   opt.max_candidate_sets = 64;
   opt.max_move_evaluations = 1'000'000;
+  expect_thread_count_invariant(h, {6800, 64, 150}, opt);
+
+  // A cap that runs out mid-set, after the bound has pruned units: threads
+  // that race ahead leave units the merge still reaches untested or
+  // unvalued, and the merge must bound them itself to the same verdicts.
+  opt.max_move_evaluations = 150'000;
+  opt.threads = 1;
+  const SearchResult reference = h.run({6800, 64, 150}, opt);
+  ASSERT_TRUE(reference.stats.budget_exhausted);
+  ASSERT_LT(reference.stats.candidate_sets, opt.max_candidate_sets);
+  ASSERT_GT(reference.stats.units_pruned, 0u);
+  ASSERT_GT(reference.stats.bound_lb_sum, 0u);
+  for (unsigned threads : kThreadCounts) {
+    opt.threads = threads;
+    const SearchResult r = h.run({6800, 64, 150}, opt);
+    EXPECT_EQ(r.stats.units_pruned, reference.stats.units_pruned) << threads;
+    EXPECT_EQ(r.stats.bound_gap_sum, reference.stats.bound_gap_sum)
+        << threads;
+    EXPECT_EQ(r.stats.bound_lb_sum, reference.stats.bound_lb_sum) << threads;
+  }
   expect_thread_count_invariant(h, {6800, 64, 150}, opt);
 }
 

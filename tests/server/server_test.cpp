@@ -116,6 +116,39 @@ PartitionRequest hold_request(const std::string& id,
   return req;
 }
 
+/// A design whose plan alone runs for tens of seconds: twenty two-mode
+/// modules over six configurations make every configuration a 20-mode
+/// clique, so the base-partition enumeration has millions of subsets to
+/// record before the search could start.
+PartitionRequest wide_plan_request(const std::string& id,
+                                   std::uint64_t timeout_ms) {
+  DesignBuilder builder("wide");
+  for (int m = 0; m < 20; ++m) {
+    std::vector<Mode> modes;
+    for (int k = 0; k < 2; ++k)
+      modes.push_back(Mode{
+          "m" + std::to_string(m) + "_" + std::to_string(k),
+          ResourceVec{static_cast<std::uint32_t>(40 + 7 * m + 11 * k), 1, 1}});
+    builder.module("M" + std::to_string(m), std::move(modes));
+  }
+  Rng rng(5);
+  for (int c = 0; c < 6; ++c) {
+    std::vector<std::pair<std::string, std::string>> uses;
+    for (int m = 0; m < 20; ++m)
+      uses.emplace_back("M" + std::to_string(m),
+                        "m" + std::to_string(m) + "_" +
+                            std::to_string(rng.below(2)));
+    builder.configuration(uses);
+  }
+  PartitionRequest req;
+  req.id = id;
+  req.design_xml = design_to_xml(builder.build());
+  req.budget = ResourceVec{100000, 1000, 1000};
+  req.options = default_partitioner_options();
+  req.timeout_ms = timeout_ms;
+  return req;
+}
+
 ServerOptions quiet_options() {
   ServerOptions opt;
   opt.port = 0;  // ephemeral
@@ -409,6 +442,21 @@ TEST(ServerTest, JobTimeoutReturnsTimeoutError) {
   const ClientResponse resp = client.submit(req);
   ASSERT_FALSE(resp.ok);
   EXPECT_EQ(resp.error_code, "timeout");
+  EXPECT_EQ(server.stats_snapshot().timed_out, 1u);
+}
+
+TEST(ServerTest, JobTimeoutFiresWhileThePlanIsBuilt) {
+  // The deadline must be able to fire inside the plan, not only in the
+  // search: this design spends tens of seconds enumerating base partitions.
+  Server server(quiet_options());
+  server.start();
+  Client client("127.0.0.1", server.port());
+  const auto started = std::chrono::steady_clock::now();
+  const ClientResponse resp = client.submit(wide_plan_request("wide", 300));
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  ASSERT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error_code, "timeout");
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
   EXPECT_EQ(server.stats_snapshot().timed_out, 1u);
 }
 
@@ -957,7 +1005,8 @@ TEST(ServerTest, ClientSkipsQueuedNoticesTransparently) {
     threads.emplace_back([&, i] {
       Client client("127.0.0.1", server.port());
       const ClientResponse resp =
-          client.submit(small_request("cq" + std::to_string(i), 200'000 + i));
+          client.submit(small_request("cq" + std::to_string(i),
+                                      200'000 + static_cast<std::uint64_t>(i)));
       if (resp.ok) ++ok;
       notices.fetch_add(client.queued_notices_seen());
     });

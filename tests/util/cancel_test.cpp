@@ -4,6 +4,7 @@
 
 #include "core/partitioner.hpp"
 #include "synth/ip_library.hpp"
+#include "tests/core/example_designs.hpp"
 
 namespace prpart {
 namespace {
@@ -61,13 +62,15 @@ TEST(CancelTest, NullTokenSearchCompletes) {
 }
 
 TEST(CancelTest, MidSearchDeadlineAborts) {
-  const Design design = synth::wireless_receiver_design();
+  // The plan takes ~0.1 ms and the search tens of milliseconds, so the 1 ms
+  // deadline fires inside the search.
+  const Design design = testing::long_search_design();
   CancelToken token;
   token.set_timeout_ms(1);
   PartitionerOptions options;
   options.search.max_move_evaluations = 50'000'000;
   options.search.cancel = &token;
-  EXPECT_THROW(partition_design(design, {6800, 64, 150}, options),
+  EXPECT_THROW(partition_design(design, {100000, 1000, 1000}, options),
                CancelledError);
 }
 

@@ -94,23 +94,23 @@ TEST_F(LockOrderTest, StatsUnderQueueLockIsAnInversion) {
 
 TEST_F(LockOrderTest, SameLevelNestingIsReported) {
   PRPART_SKIP_IF_TSAN();
-  // Two cost-cache shards at once would deadlock against a thread taking
-  // them in the opposite order; same-level nesting is therefore illegal.
-  Mutex a(lock_order::Level::kCostCacheShard, "test.shard-a");
-  Mutex b(lock_order::Level::kCostCacheShard, "test.shard-b");
+  // Two result caches at once would deadlock against a thread taking them
+  // in the opposite order; same-level nesting is therefore illegal.
+  Mutex a(lock_order::Level::kResultCache, "test.cache-a");
+  Mutex b(lock_order::Level::kResultCache, "test.cache-b");
   {
     const MutexLock la(a);
     const MutexLock lb(b);
   }
   ASSERT_EQ(reports().size(), 1u);
-  EXPECT_NE(reports()[0].find("test.shard-a"), std::string::npos);
-  EXPECT_NE(reports()[0].find("test.shard-b"), std::string::npos);
+  EXPECT_NE(reports()[0].find("test.cache-a"), std::string::npos);
+  EXPECT_NE(reports()[0].find("test.cache-b"), std::string::npos);
 }
 
 TEST_F(LockOrderTest, SequentialSameLevelIsClean) {
-  // One shard at a time (GroupCostCache::size()'s pattern) is fine.
-  Mutex a(lock_order::Level::kCostCacheShard, "test.shard-a");
-  Mutex b(lock_order::Level::kCostCacheShard, "test.shard-b");
+  // One lock of a level at a time is fine.
+  Mutex a(lock_order::Level::kResultCache, "test.cache-a");
+  Mutex b(lock_order::Level::kResultCache, "test.cache-b");
   {
     const MutexLock la(a);
   }
