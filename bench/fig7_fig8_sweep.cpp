@@ -185,6 +185,17 @@ int main() {
     search.set("move_evaluations", json::Value(sme));
     search.set("states_recorded", json::Value(ssr));
     doc.set("search", search);
+    // The device ladder's searches and the rungs its fit check skipped,
+    // summed over the suite (deterministic).
+    std::uint64_t searched = 0, proven = 0;
+    for (const SweepRow* r : rows) {
+      searched += r->rungs_searched;
+      proven += r->rungs_proven_infeasible;
+    }
+    json::Value ladder = json::Value::object();
+    ladder.set("rungs_searched", json::Value(searched));
+    ladder.set("rungs_proven_infeasible", json::Value(proven));
+    doc.set("ladder", ladder);
     doc.set("wall_seconds", json::Value(sweep.seconds));
     doc.set("ms_per_design",
             json::Value(sweep.seconds * 1e3 /

@@ -52,6 +52,8 @@ SweepResult run_sweep(std::uint64_t seed, std::size_t count) {
     row.search_units_pruned = pr.stats.units_pruned;
     row.search_move_evaluations = pr.stats.move_evaluations;
     row.search_states_recorded = pr.stats.states_recorded;
+    row.rungs_searched = dp.rungs_searched;
+    row.rungs_proven_infeasible = dp.rungs_proven_infeasible;
 
     row.modular_min_device = static_cast<std::size_t>(-1);
     for (std::size_t d = 0; d < lib.devices().size(); ++d) {

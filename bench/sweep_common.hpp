@@ -37,6 +37,10 @@ struct SweepRow {
   std::uint64_t search_units_pruned = 0;
   std::uint64_t search_move_evaluations = 0;
   std::uint64_t search_states_recorded = 0;
+
+  // The device ladder's work for the design (deterministic).
+  std::size_t rungs_searched = 0;
+  std::size_t rungs_proven_infeasible = 0;
 };
 
 struct SweepResult {

@@ -365,8 +365,6 @@ int cmd_partition(const Args& args, std::ostream& out, std::ostream& err) {
         << " pruned by the lower bound)\n"
         << "  move evaluations: " << s.move_evaluations
         << (s.budget_exhausted ? " (budget exhausted)" : "") << "\n"
-        << "  full evaluations: " << s.full_evaluations << " fresh, "
-        << s.moves_rescored << " rescored from the move table\n"
         << "  greedy descents:  " << s.greedy_runs << " over "
         << s.candidate_sets << " candidate sets, " << s.states_recorded
         << " states recorded\n";

@@ -6,6 +6,7 @@
 
 #include "core/base_partition.hpp"
 #include "core/connectivity.hpp"
+#include "util/cancel.hpp"
 
 namespace prpart {
 
@@ -38,5 +39,20 @@ struct CoverResult {
 CoverResult cover(const std::vector<BasePartition>& partitions,
                   const ConnectivityMatrix& matrix,
                   std::span<const std::size_t> order, std::size_t skip);
+
+/// Candidate partition sets, each a list of master-list indices in
+/// selection order.
+using CandidateSets = std::vector<std::vector<std::size_t>>;
+
+/// The candidate partition sets of the region-allocation search (§IV-C's
+/// outermost iteration): cover() over covering_order() with 0, 1, 2, ...
+/// list heads removed, stopping at the first incomplete covering (removals
+/// only make covering harder) or after `max_sets` sets. The search and the
+/// ladder's fit check both iterate exactly this family. Polls `cancel` (nullable) once
+/// per covering pass and throws CancelledError when it fires.
+CandidateSets candidate_sets(
+    const std::vector<BasePartition>& partitions,
+    const ConnectivityMatrix& matrix, std::size_t max_sets,
+    const CancelToken* cancel = nullptr);
 
 }  // namespace prpart

@@ -1,6 +1,7 @@
 #include "core/partitioner.hpp"
 
 #include "core/clustering.hpp"
+#include "core/feasibility.hpp"
 #include "core/schemes.hpp"
 #include "util/status.hpp"
 
@@ -13,6 +14,9 @@ DesignPlan::DesignPlan(const Design& design, const PartitionerOptions& options)
                                             options.max_partition_modes,
                                             options.search.cancel)),
       compat_(matrix_, partitions_),
+      sets_(prpart::candidate_sets(partitions_, matrix_,
+                                   options.search.max_candidate_sets,
+                                   options.search.cancel)),
       // One evaluation-kernel context per (design, partition set): the
       // baseline evaluations below, the search's final certification, and
       // any caller re-evaluation share its precomputed activity matrix
@@ -81,9 +85,9 @@ PartitionerResult solve(const DesignPlan& plan, const ResourceVec& budget,
   if (result.feasible) {
     SearchOptions search_options = options.search;
     search_options.eval_context = &plan.context_;
-    SearchResult search =
-        search_partitioning(plan.design_, plan.matrix_, plan.partitions_,
-                            plan.compat_, budget, search_options);
+    SearchResult search = search_partitioning(
+        plan.design_, plan.matrix_, plan.partitions_, plan.compat_,
+        plan.sets_, budget, search_options);
     result.stats = search.stats;
     // Compare against the single-region fallback under the same objective
     // the search optimised (weighted when pair weights were supplied).
@@ -130,23 +134,47 @@ DevicePartitionResult partition_on_smallest_device(
   require(!devices.empty(), "device library is empty");
 
   const DesignPlan plan(design, options);
+  // The bill is exactly solve()'s feasibility check, so a rung it does not
+  // fit costs no search and no result. Capacities are not element-wise
+  // monotone along the library, so the last rung it fits need not be the
+  // last device.
+  const auto bill_fits = [&](std::size_t i) {
+    return plan.single_region_bill().fits_in(devices[i].capacity());
+  };
+  std::size_t first = 0;
+  while (first < devices.size() && !bill_fits(first)) ++first;
+  if (first == devices.size())
+    throw DeviceError("design '" + design.name() +
+                      "' does not fit any device in the library");
+  std::size_t last = devices.size() - 1;
+  while (!bill_fits(last)) --last;
+
   DevicePartitionResult out;
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    // The bill is exactly solve()'s feasibility check, so an infeasible
-    // rung costs no search and no result.
-    if (!plan.single_region_bill().fits_in(devices[i].capacity())) continue;
-    if (out.device == nullptr) out.first_feasible_index = i;
+  out.first_feasible_index = first;
+  for (std::size_t i = first; i <= last; ++i) {
+    if (!bill_fits(i)) continue;
+    const ResourceVec& capacity = devices[i].capacity();
+    // A search that finds no fitting scheme sends the walk to the next
+    // rung, so a rung proven to hold none is skipped unsearched; the last
+    // one is searched regardless, because its result is the one reported.
+    if (i < last &&
+        fit_check(plan.base_partitions(), plan.compatibility(),
+                  plan.candidate_sets(), design.static_base(), capacity,
+                  options.search.allow_static_promotion,
+                  options.search.cancel)
+                .verdict == FitVerdict::ProvenNone) {
+      ++out.rungs_proven_infeasible;
+      continue;
+    }
     out.device = &devices[i];
     out.chosen_index = i;
-    out.result = solve(plan, devices[i].capacity(), options);
+    out.result = solve(plan, capacity, options);
+    ++out.rungs_searched;
     // A single-region-only answer stays in hand while a larger device is
-    // tried (§V: designs re-iterated on larger FPGAs); the largest device
+    // tried (§V: designs re-iterated on larger FPGAs); the last rung
     // reports it as is.
     if (out.result.proposed_from_search) break;
   }
-  if (out.device == nullptr)
-    throw DeviceError("design '" + design.name() +
-                      "' does not fit any device in the library");
   out.escalated = out.chosen_index != out.first_feasible_index;
   return out;
 }

@@ -6,6 +6,7 @@
 #include "core/base_partition.hpp"
 #include "core/compatibility.hpp"
 #include "core/connectivity.hpp"
+#include "core/covering.hpp"
 #include "core/eval_kernel.hpp"
 #include "core/scheme.hpp"
 #include "core/search.hpp"
@@ -78,7 +79,8 @@ struct PartitionerResult {
 /// and may outlive the plan.
 class DesignPlan {
  public:
-  /// Reads options.max_partition_modes and, for the baseline batch,
+  /// Reads options.max_partition_modes, options.search.max_candidate_sets,
+  /// options.search.cancel and, for the baseline batch,
   /// options.search.scratch (a local scratch when null). Throws
   /// InternalError when a baseline evaluates invalid.
   explicit DesignPlan(const Design& design,
@@ -91,6 +93,10 @@ class DesignPlan {
   const std::vector<BasePartition>& base_partitions() const {
     return partitions_;
   }
+  const CompatibilityTable& compatibility() const { return compat_; }
+  /// The search's candidate partition sets (candidate_sets() at the plan's
+  /// options.search.max_candidate_sets); they do not depend on the budget.
+  const CandidateSets& candidate_sets() const { return sets_; }
   /// Kernel context over matrix() and base_partitions() (DESIGN.md §4d).
   const EvalContext& context() const { return context_; }
   /// The single-region area bill: solve() is feasible for a budget exactly
@@ -105,6 +111,7 @@ class DesignPlan {
   ConnectivityMatrix matrix_;
   std::vector<BasePartition> partitions_;
   CompatibilityTable compat_;
+  CandidateSets sets_;
   EvalContext context_;
   SingleRegionBill bill_;
   /// Baselines evaluated once; only `fits` depends on the budget, and
@@ -122,7 +129,8 @@ class DesignPlan {
 /// region-allocation search and the single-region fallback. Byte-identical
 /// to partition_design(design, budget, options) for the plan's design when
 /// `options` matches the one the plan was built with;
-/// options.max_partition_modes is the plan's and is not read here.
+/// options.max_partition_modes and options.search.max_candidate_sets are
+/// the plan's and are not read here.
 PartitionerResult solve(const DesignPlan& plan, const ResourceVec& budget,
                         const PartitionerOptions& options = {});
 
@@ -146,6 +154,11 @@ struct DevicePartitionResult {
   /// designs "could not be alternatively arranged on the smallest FPGA").
   bool escalated = false;
   PartitionerResult result;
+  /// Rungs the region-allocation search ran on.
+  std::size_t rungs_searched = 0;
+  /// Rungs the single-region bill fits but fit_check() proved to hold no
+  /// fitting scheme, so the ladder moved on without searching them.
+  std::size_t rungs_proven_infeasible = 0;
 };
 
 /// Walks the library from the smallest device up: picks the first device
@@ -153,7 +166,11 @@ struct DevicePartitionResult {
 /// no scheme other than single-region is feasible - retries on the next
 /// larger device. Throws DeviceError when the design fits no device. One
 /// DesignPlan serves the whole walk; devices the single-region bill does
-/// not fit are skipped without solving.
+/// not fit are skipped without solving, and so is every other rung but the
+/// last the bill fits on which fit_check() proves that no candidate set
+/// holds a fitting scheme (the search would find none, and the walk would
+/// move on; DESIGN.md, "Ladder fit check"). The result equals searching
+/// every rung the bill fits.
 DevicePartitionResult partition_on_smallest_device(
     const Design& design, const DeviceLibrary& library,
     const PartitionerOptions& options = {});

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/compatibility.hpp"
+#include "core/covering.hpp"
 #include "core/scheme.hpp"
 #include "util/cancel.hpp"
 
@@ -214,7 +215,7 @@ struct SearchResult {
 ///    (budget excess, then total reconfiguration time, then area), restarted
 ///    once from every possible first move;
 ///  * candidate partition sets are regenerated by removing the head of the
-///    covering list until covering fails;
+///    covering list until covering fails (candidate_sets());
 ///  * the best *fitting* state ever visited is the answer, with ties broken
 ///    by a total order on (objective, canonical scheme key) so the winner
 ///    does not depend on discovery order;
@@ -226,6 +227,18 @@ SearchResult search_partitioning(const Design& design,
                                  const ConnectivityMatrix& matrix,
                                  const std::vector<BasePartition>& partitions,
                                  const CompatibilityTable& compat,
+                                 const ResourceVec& budget,
+                                 const SearchOptions& options = {});
+
+/// The search over precomputed candidate sets: `sets` must be
+/// candidate_sets(partitions, matrix, options.max_candidate_sets), which
+/// the overload above computes per call and DesignPlan computes once per
+/// design. options.max_candidate_sets is not read here.
+SearchResult search_partitioning(const Design& design,
+                                 const ConnectivityMatrix& matrix,
+                                 const std::vector<BasePartition>& partitions,
+                                 const CompatibilityTable& compat,
+                                 const CandidateSets& sets,
                                  const ResourceVec& budget,
                                  const SearchOptions& options = {});
 

@@ -343,6 +343,20 @@ TEST_F(CliTest, PartitionThreadsFlagGivesIdenticalOutput) {
   EXPECT_EQ(r4.out, r1.out);
 }
 
+TEST_F(CliTest, SearchStatsAreReproducibleAcrossThreadCounts) {
+  // Every counter --search-stats prints is deterministic: repeated
+  // multi-threaded runs and the single-thread run print the same bytes.
+  const std::string path = (dir_ / "d17.xml").string();
+  ASSERT_EQ(invoke({"generate", "--seed", "17", "--out", path}).code, 0);
+  auto with_threads = [&](const char* t) {
+    return invoke({"partition", path, "--search-stats", "--threads", t});
+  };
+  const CliRun one = with_threads("1");
+  ASSERT_EQ(one.code, 0) << one.err;
+  EXPECT_NE(one.out.find("Search statistics:"), std::string::npos);
+  for (int run = 0; run < 3; ++run) EXPECT_EQ(with_threads("4").out, one.out);
+}
+
 TEST_F(CliTest, PartitionInfeasibleBudgetExitCode2) {
   const CliRun r = invoke({"partition", design_path_, "--budget", "100,1,1"});
   EXPECT_EQ(r.code, 2);

@@ -96,4 +96,19 @@ inline Design long_search_design() {
   return builder.build();
 }
 
+// Exactly at its single-region bill the search finds no fitting scheme
+// with fewer frames than the single region (the nested configurations
+// rule out a searched single-region equivalent), so the partitioner keeps
+// the single-region fallback.
+inline Design fallback_at_bill() {
+  return DesignBuilder("fallback_at_bill")
+      .module("A", {{"A1", {100, 0, 1}}})
+      .module("B", {{"B1", {290, 2, 2}}})
+      .module("C", {{"C1", {100, 2, 2}}})
+      .configuration({{"B", "B1"}})
+      .configuration({{"B", "B1"}, {"C", "C1"}})
+      .configuration({{"A", "A1"}})
+      .build();
+}
+
 }  // namespace prpart::testing

@@ -82,7 +82,8 @@ PartitionRequest receiver_request(const std::string& id,
 /// four-mode modules over eight configurations give candidate sets large
 /// enough that the unbounded-effort search runs for seconds, while the plan
 /// (clustering, covering) takes milliseconds, so the search's cancellation
-/// points answer `timeout_ms` promptly.
+/// points answer `timeout_ms` promptly. A `timeout_ms` of 0 leaves the
+/// deadline to the server's default.
 PartitionRequest hold_request(const std::string& id,
                               std::uint64_t timeout_ms) {
   DesignBuilder builder("hold");
@@ -434,12 +435,9 @@ TEST(ServerTest, JobTimeoutReturnsTimeoutError) {
   Server server(quiet_options());
   server.start();
   Client client("127.0.0.1", server.port());
-  PartitionRequest req = receiver_request("slow", 100'000'000);
-  // A 1ms deadline (armed at admission) is always in the past by the time
-  // the search reaches a cancellation point; the job itself takes tens of
-  // milliseconds at the very least.
-  req.timeout_ms = 1;
-  const ClientResponse resp = client.submit(req);
+  // The held search runs for seconds, so its 50 ms deadline (armed at
+  // admission) fires at one of the search's cancellation points.
+  const ClientResponse resp = client.submit(hold_request("slow", 50));
   ASSERT_FALSE(resp.ok);
   EXPECT_EQ(resp.error_code, "timeout");
   EXPECT_EQ(server.stats_snapshot().timed_out, 1u);
@@ -462,12 +460,12 @@ TEST(ServerTest, JobTimeoutFiresWhileThePlanIsBuilt) {
 
 TEST(ServerTest, ServerDefaultTimeoutApplies) {
   ServerOptions opt = quiet_options();
-  opt.default_timeout_ms = 1;
+  opt.default_timeout_ms = 50;
   Server server(opt);
   server.start();
   Client client("127.0.0.1", server.port());
-  const ClientResponse resp =
-      client.submit(receiver_request("slow-default", 100'000'000));
+  // No deadline of its own: the server's default bounds the held search.
+  const ClientResponse resp = client.submit(hold_request("slow-default", 0));
   ASSERT_FALSE(resp.ok);
   EXPECT_EQ(resp.error_code, "timeout");
 }
